@@ -23,7 +23,7 @@ from .kernels import (
     kernel_section,
     space_spec,
 )
-from .orthonormalize import BetaFactor, condition_estimate, factor
+from .orthonormalize import GramFactor, condition_estimate, factor
 from .problems import (
     Curve,
     ErrorReport,

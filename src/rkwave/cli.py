@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import problems, solver
 from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite
-from .orthonormalize import NotPositiveDefinite as _NPD  # noqa: F401  (re-raise surface)
 from .problems import Curve, ProblemSpec, Rectangle, builtin, error_table
 from .solver import ORDERING_POLICIES, generate_collocation
 

@@ -177,14 +177,16 @@ def _falling(i: int, d: int) -> float:
     return float(math.perm(i, d))
 
 
+# _FALLING[d, i] = _falling(i, d) for the 6x6 branch matrices
+_FALLING = np.array([[_falling(i, d) for i in range(6)] for d in range(6)])
+
+
 def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Coefficient matrix of d^dx/dx^dx d^dy/dy^dy applied to ``mat``."""
     n = mat.shape[0]
     if dx >= n or dy >= n:
         return np.zeros((1, 1))
-    fx = np.array([_falling(i, dx) for i in range(dx, n)])
-    fy = np.array([_falling(j, dy) for j in range(dy, n)])
-    return mat[dx:, dy:] * fx[:, None] * fy[None, :]
+    return mat[dx:, dy:] * _FALLING[dx, dx:, None] * _FALLING[dy, dy:]
 
 
 def eval_kernel(k: PiecewiseKernel, x: float, y: float, dx: int = 0, dy: int = 0) -> float:
@@ -204,9 +206,29 @@ def eval_kernel(k: PiecewiseKernel, x: float, y: float, dx: int = 0, dy: int = 0
     return float(polyval2d(x, y, _deriv_matrix(branch, dx, dy)))
 
 
-def _broadcast_pair(x, y):
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return x, y
+def _branch_values(mats, x, y, dx: int, dy: int) -> list:
+    """Branch polynomials at broadcastable x, y as Vandermonde products.
+
+    Each branch C gives sum_ij C[i,j] x^i y^j: Horner in x first, for every
+    column at once, then a contraction with the powers V(y)[..., j] = y^j.
+    A column x against a row y makes that contraction one matrix product.
+    Horner in x keeps a branch exactly zero at x = 1 where its polished
+    column sums vanish (see ``_polish_columns_at_one``).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    c = np.concatenate([_deriv_matrix(m, dx, dy) for m in mats], axis=1)
+    xe = x[..., None]
+    cx = np.empty(x.shape + c.shape[1:])
+    cx[...] = c[-1]
+    for row in c[-2::-1]:
+        cx *= xe
+        cx += row
+    parts = np.split(cx, len(mats), axis=-1)
+    vy = y[..., None] ** np.arange(parts[0].shape[-1])
+    if x.ndim == 2 and y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
+        return [part[:, 0] @ vy[0].T for part in parts]
+    return [np.einsum("...j,...j->...", part, vy) for part in parts]
 
 
 def eval_kernel_branch(k: PiecewiseKernel, branch: str, x, y, dx: int = 0, dy: int = 0):
@@ -215,8 +237,7 @@ def eval_kernel_branch(k: PiecewiseKernel, branch: str, x, y, dx: int = 0, dy: i
     Used for diagonal-continuity and jump diagnostics; no diagonal guard.
     """
     mat = {"lower": k.lower, "upper": k.upper}[branch]
-    x, y = _broadcast_pair(x, y)
-    return polyval2d(x, y, _deriv_matrix(mat, dx, dy))
+    return _branch_values([mat], x, y, dx, dy)[0]
 
 
 def eval_kernel_grid(k: PiecewiseKernel, x, y, dx: int = 0, dy: int = 0):
@@ -225,10 +246,8 @@ def eval_kernel_grid(k: PiecewiseKernel, x, y, dx: int = 0, dy: int = 0):
     Callers must keep dx + dy <= 2m - 2 wherever x == y exactly; this fast
     path does not re-check the diagonal rule.
     """
-    x, y = _broadcast_pair(x, y)
-    low = polyval2d(x, y, _deriv_matrix(k.lower, dx, dy))
-    up = polyval2d(x, y, _deriv_matrix(k.upper, dx, dy))
-    return np.where(x <= y, low, up)
+    low, up = _branch_values([k.lower, k.upper], x, y, dx, dy)
+    return np.where(np.less_equal(x, y), low, up)
 
 
 def kernel_section(k: PiecewiseKernel, y: float):

@@ -1,14 +1,15 @@
-"""Gram-Schmidt orthonormalization as a triangular Gram factorization.
+"""Gram-Schmidt orthonormalization as a Cholesky factor of the Gram matrix.
 
 Orthonormalizing the representers Psi_i only needs the coefficients
 beta_ik of the combinations Psihat_i = sum_{k<=i} beta_ik Psi_k.  With the
 Gram matrix A = L L^T (Cholesky), beta = L^{-1} produces the same
 orthonormal system as sequential Gram-Schmidt, up to rounding, and
-satisfies beta A beta^T = I.
+satisfies beta A beta^T = I.  beta is never formed: every use of it is a
+triangular solve against L.
 
-The Cholesky is hand-rolled rather than delegated so that a failing pivot
-reports *which* leading minor broke: for collocation Gram matrices that
-index points at the first degenerate collocation point.
+L comes from LAPACK in double precision.  A pivot failure reports *which*
+leading minor broke: for collocation Gram matrices that index points at
+the first degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BetaFactor:
-    """Lower-triangular orthonormalization coefficients with a conditioning tag."""
+class GramFactor:
+    """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag."""
 
-    beta: np.ndarray
+    L: np.ndarray
     condition_estimate: float
 
     def __post_init__(self):
-        b = np.array(self.beta, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "beta", b)
+        low = np.array(self.L, dtype=float)
+        low.setflags(write=False)
+        object.__setattr__(self, "L", low)
 
 
 def _check_symmetric(gram: np.ndarray) -> np.ndarray:
@@ -48,79 +49,58 @@ def _check_symmetric(gram: np.ndarray) -> np.ndarray:
     return a
 
 
+def _first_small_pivot(low: np.ndarray, thresh: float) -> int | None:
+    small = np.flatnonzero(np.diag(low) ** 2 <= thresh)
+    return int(small[0]) if small.size else None
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    # Extended precision: collocation Gram matrices reach cond ~1e12 at desk
-    # scale, and beta A beta^T - I must stay below 1e-8.  The factorization
-    # is plain arithmetic, so running it in longdouble costs little and
-    # keeps the double-rounded result at ~eps * sqrt(cond).
-    a = a.astype(np.longdouble)
-    n = a.shape[0]
     thresh = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= thresh:
-            raise NotPositiveDefinite(j)
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # A leading minor factors only if every smaller one does, so the
+        # first failing pivot is found by bisecting over the minor sizes;
+        # ``low`` ends as the factor of the largest minor that factors.
+        good, bad = 0, a.shape[0]
+        low = np.zeros((0, 0))
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                low = np.linalg.cholesky(a[:mid, :mid])
+                good = mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        j = _first_small_pivot(low, thresh)
+        raise NotPositiveDefinite(bad - 1 if j is None else j) from None
+    j = _first_small_pivot(low, thresh)
+    if j is not None:
+        raise NotPositiveDefinite(j)
     return low
 
 
-def _invert_lower(low: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    inv = np.zeros_like(low)
-    for i in range(n):
-        row = np.zeros(n, dtype=low.dtype)
-        row[i] = 1.0
-        row -= low[i, :i] @ inv[:i]
-        inv[i] = row / low[i, i]
-    return inv
+def _condition(a: np.ndarray) -> float:
+    lam = np.linalg.eigvalsh(a)
+    return float(lam[-1] / lam[0]) if lam[0] > 0.0 else float("inf")
 
 
-def _power_lambda_max(matvec, n: int, iters: int = 200, rtol: float = 1e-12) -> float:
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        new = float(np.linalg.norm(w))
-        if new == 0.0:
-            return 0.0
-        v = w / new
-        if abs(new - lam) <= rtol * new:
-            return new
-        lam = new
-    return lam
+def factor(gram) -> GramFactor:
+    """Cholesky factor of a symmetric positive definite Gram matrix.
 
-
-def factor(gram) -> BetaFactor:
-    """Triangular orthonormalization coefficients of a symmetric PD Gram matrix.
-
-    Computes A = L L^T and returns beta = L^{-1} together with a power-
-    iteration estimate of cond(A).  Raises NotPositiveDefinite(k) when the
-    k-th pivot fails, and ValueError for non-symmetric input.
+    Computes A = L L^T with LAPACK and returns L together with cond_2(A)
+    from the extreme eigenvalues.  Raises NotPositiveDefinite(k) when the
+    k-th pivot is not above PIVOT_RTOL times the largest diagonal entry,
+    and ValueError for non-symmetric input.
     """
     a = _check_symmetric(gram)
-    low = _cholesky(a)
-    beta = _invert_lower(low).astype(float)
-    cond = _condition_from_factor(a, beta)
-    return BetaFactor(beta, cond)
-
-
-def _condition_from_factor(a: np.ndarray, beta: np.ndarray) -> float:
-    n = a.shape[0]
-    lam_max = _power_lambda_max(lambda v: a @ v, n)
-    inv_lam_max = _power_lambda_max(lambda v: beta.T @ (beta @ v), n)
-    if inv_lam_max == 0.0:
-        return float("inf")
-    return lam_max * inv_lam_max
+    return GramFactor(_cholesky(a), _condition(a))
 
 
 def condition_estimate(gram) -> float:
-    """Estimate cond_2 of a symmetric matrix; infinity when not factorizable."""
+    """cond_2 of a symmetric matrix; infinity when it does not factor."""
     a = _check_symmetric(gram)
     try:
-        low = _cholesky(a)
+        _cholesky(a)
     except NotPositiveDefinite:
         return float("inf")
-    return _condition_from_factor(a, _invert_lower(low).astype(float))
+    return _condition(a)

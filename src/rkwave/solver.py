@@ -5,7 +5,10 @@ square, the solver expands v in the orthonormalized representers:
 
     v_n = sum_i B_i Psihat_i,     B_i = sum_{k<=i} beta_ik M(p_k, v_{i-1}(p_k))
 
-where v_{i-1} is the partial sum built from B_1 .. B_{i-1}.  One pass of
+where v_{i-1} is the partial sum built from B_1 .. B_{i-1}.  With the Gram
+factor A = L L^T and beta = L^{-1}, the recursion is forward substitution
+L B = m, each m_i = M(p_i, v_{i-1}(p_i)) filled in as it is reached, and
+every other use of beta is a triangular solve against L.  One pass of
 that recursion is exact for M independent of v; for nonlinear M the pass is
 repeated (Picard sweeps), each sweep seeding the evaluation of M with the
 previous sweep's solution, until the solution values at the collocation
@@ -25,7 +28,7 @@ import numpy as np
 from . import wave_operator
 from .errors import NonFiniteValue, OutOfDomain
 from .kernels import closed_form_kernel
-from .orthonormalize import BetaFactor, factor
+from .orthonormalize import GramFactor, factor
 from .wave_operator import RepresenterBasis, psi_values
 
 ORDERING_POLICIES = ("time_major", "space_major", "diagonal")
@@ -94,7 +97,7 @@ class Solution:
     """A solved collocation expansion plus everything needed to evaluate it."""
 
     basis: RepresenterBasis
-    beta: BetaFactor
+    beta: GramFactor  # the factor L of beta = L^{-1}; beta itself is never formed
     B: np.ndarray
     hp: "object"  # problems.HomogenizedProblem (duck-typed to avoid a cycle)
     points: CollocationSet
@@ -106,11 +109,11 @@ class Solution:
         self.B = np.asarray(self.B, dtype=float)
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
         # sum_i B_i sum_{k<=i} beta_ik Psi_k = sum_k (beta^T B)_k Psi_k
-        self.psi_weights = self.beta.beta.T @ self.B
+        self.psi_weights = np.linalg.solve(self.beta.L.T, self.B)
 
 
-def _run_sweep(phat: np.ndarray, beta: np.ndarray, m_fun, pts, b_prev: np.ndarray):
-    """One pass of the coefficient recursion.
+def _run_sweep(phat: np.ndarray, low: np.ndarray, m_fun, pts, b_prev: np.ndarray):
+    """One pass of the coefficient recursion: forward substitution L B = m.
 
     For point i the nonlinear argument uses the current sweep's coefficients
     where already computed and the previous sweep's for the tail, so the
@@ -119,7 +122,6 @@ def _run_sweep(phat: np.ndarray, beta: np.ndarray, m_fun, pts, b_prev: np.ndarra
     """
     n = len(pts)
     b_new = np.zeros(n)
-    m_vals = np.zeros(n)
     for i in range(n):
         u_val = phat[i, :i] @ b_new[:i] + phat[i, i:] @ b_prev[i:]
         xi, tau = pts[i]
@@ -128,8 +130,7 @@ def _run_sweep(phat: np.ndarray, beta: np.ndarray, m_fun, pts, b_prev: np.ndarra
             raise NonFiniteValue(
                 f"solver.solve: source term returned {mi} at collocation point ({xi}, {tau})"
             )
-        m_vals[i] = mi
-        b_new[i] = beta[i, : i + 1] @ m_vals[: i + 1]
+        b_new[i] = (mi - low[i, :i] @ b_new[:i]) / low[i, i]
     return b_new
 
 
@@ -156,15 +157,15 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     n = len(basis_pts)
     xs = np.array([p[0] for p in basis_pts])
     ts = np.array([p[1] for p in basis_pts])
-    # Psihat_l at collocation point i: (psi values) beta^T
+    # Psihat_l at collocation point i: (psi values) beta^T = (L^{-1} psi^T)^T
     psi = psi_values(basis, xs, ts)
-    phat = psi @ bf.beta.T
+    phat = np.linalg.solve(bf.L, psi.T).T
 
     b = np.zeros(n)
     vals = np.zeros(n)
     sweeps_used = 0
     for _ in range(outer_sweeps):
-        b = _run_sweep(phat, bf.beta, hp.M, basis_pts, b)
+        b = _run_sweep(phat, bf.L, hp.M, basis_pts, b)
         sweeps_used += 1
         new_vals = phat @ b
         change = float(np.max(np.abs(new_vals - vals))) if n else 0.0

@@ -168,8 +168,8 @@ def test_criterion_04_gram_correctness():
     for n in (3, 6, 9, 12):
         a = gram_matrix(basis_for_grid(n))
         spd_ok &= bool(np.min(np.linalg.eigvalsh(a)) > 0.0)
-        bf = factor(a)
-        recon[n] = float(np.max(np.abs(bf.beta @ a @ bf.beta.T - np.eye(len(a)))))
+        beta = np.linalg.inv(factor(a).L)
+        recon[n] = float(np.max(np.abs(beta @ a @ beta.T - np.eye(len(a)))))
     print(f"  beta reconstruction residuals by grid: "
           + ", ".join(f"{n}x{n}: {recon[n]:.2e}" for n in sorted(recon)))
     ok = quad_worst <= 1e-6 and fd_worst <= 1e-4 and spd_ok and recon[3] <= 1e-8 and recon[6] <= 1e-8

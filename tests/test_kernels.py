@@ -84,11 +84,36 @@ def test_essential_constraints_in_argument_slot():
     R = closed_form_kernel("R_spatial")
     ys = np.linspace(0.01, 0.99, 40)
     assert np.max(np.abs(eval_kernel_grid(R, 0.0, ys))) == 0.0
-    assert np.max(np.abs(eval_kernel_grid(R, 1.0, ys))) < 1e-15
+    # exact at x = 1 too, scalar or column against row: the polished column
+    # sums of the upper branch vanish in Horner order
+    assert np.max(np.abs(eval_kernel_grid(R, 1.0, ys))) == 0.0
+    assert np.max(np.abs(eval_kernel_grid(R, np.array([[1.0]]), ys[None, :]))) == 0.0
     assert eval_kernel(R, 0.0, 0.37) == 0.0
     r = closed_form_kernel("r_temporal")
     assert np.max(np.abs(eval_kernel_grid(r, 0.0, ys))) == 0.0
     assert np.max(np.abs(eval_kernel_grid(r, 0.0, ys, dx=1))) == 0.0
+
+
+@pytest.mark.parametrize("sid", ORDER3_IDS)
+def test_grid_matches_scalar_oracle(sid):
+    # off-diagonal points through every broadcast path of eval_kernel_grid:
+    # column x row (one matrix product), 2-D against 1-D, array against
+    # scalar in either slot
+    k = closed_form_kernel(sid)
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 9)])
+    ys = rng.uniform(0.0, 1.0, 7)
+    cases = [(xs[:, None], ys[None, :]), (xs[:4, None], ys), (xs, ys[2]), (xs[5], ys),
+             (np.float64(xs[3]), ys[1])]
+    oracle = np.vectorize(eval_kernel, excluded={0, 3, 4})
+    for dx in range(3):
+        for dy in range(3):
+            for x, y in cases:
+                want = oracle(k, x, y, dx, dy)
+                got = eval_kernel_grid(k, x, y, dx, dy)
+                assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (dx, dy, np.shape(x))
 
 
 @pytest.mark.parametrize("sid", kernels.SPACE_IDS)

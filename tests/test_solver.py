@@ -127,8 +127,8 @@ def test_picard_fixed_point(ex52_hp):
     from rkwave.wave_operator import psi_values
     xs = np.array([p[0] for p in sol.points.basis_points])
     ts = np.array([p[1] for p in sol.points.basis_points])
-    phat = psi_values(sol.basis, xs, ts) @ sol.beta.beta.T
-    b_next = _run_sweep(phat, sol.beta.beta, ex52_hp.M, sol.points.basis_points, sol.B)
+    phat = np.linalg.solve(sol.beta.L, psi_values(sol.basis, xs, ts).T).T
+    b_next = _run_sweep(phat, sol.beta.L, ex52_hp.M, sol.points.basis_points, sol.B)
     assert np.max(np.abs(b_next - sol.B)) < 1e-10
 
 
