@@ -28,7 +28,7 @@ from pathlib import Path
 from . import problems, solver
 from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite
 from .problems import Curve, ProblemSpec, Rectangle, builtin, error_table
-from .solver import ORDERING_POLICIES, generate_collocation
+from .solver import generate_collocation
 
 CSV_HEADER = "x,t,exact,approx,abs_err,rel_err,seconds"
 SUMMARY_HEADER = "level,nx,nt,n_basis,max_abs_err,solution_norm,gram_condition,sweeps,seconds"
@@ -89,7 +89,6 @@ class RunConfig:
     problem: str = "ex51"
     nx: int = 9
     nt: int = 9
-    ordering: str = "time_major"
     outer_sweeps: int = 5
     tol: float = 1e-10
     refinement_levels: int = 0
@@ -139,8 +138,6 @@ def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
             setattr(cfg, key, int(value))
         elif key in _FLOAT_KEYS:
             setattr(cfg, key, float(value))
-        elif key == "ordering":
-            cfg.ordering = value
         elif key == "format":
             cfg.fmt = value
         elif key == "out":
@@ -176,8 +173,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("outer_sweeps must be >= 1")
     if cfg.refinement_levels < 0:
         raise ConfigError("refinement_levels must be >= 0")
-    if cfg.ordering not in ORDERING_POLICIES:
-        raise ConfigError(f"ordering must be one of {ORDERING_POLICIES}")
     if cfg.fmt not in ("csv", "markdown"):
         raise ConfigError("format must be csv or markdown")
     if cfg.eval_points is not None and cfg.eval_grid is not None:
@@ -197,7 +192,14 @@ def _validate(cfg: RunConfig) -> None:
         nl = cfg.custom.get("nonlinearity", "none")
         if nl not in ("sin", "none"):
             raise ConfigError("nonlinearity must be sin or none")
-        _build_problem(cfg)  # surfaces expression errors at validation time
+    try:
+        domain = _build_problem(cfg).domain  # surfaces expression errors too
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{cfg.problem} problem rejected: {exc}") from None
+    for x, t in cfg.eval_points or ():
+        if not (domain.a <= x <= domain.b and 0.0 <= t <= domain.T):
+            raise ConfigError(f"eval point ({x}, {t}) lies outside "
+                              f"[{domain.a}, {domain.b}] x [0, {domain.T}]")
 
 
 def _build_problem(cfg: RunConfig) -> ProblemSpec:
@@ -218,20 +220,17 @@ def _build_problem(cfg: RunConfig) -> ProblemSpec:
     source = compile_expression(c["source"], ("x", "t")) if "source" in c else None
     exact = compile_expression(c["exact"], ("x", "t")) if "exact" in c else None
     exact_dx = compile_expression(c["exact_dx"], ("x", "t")) if "exact_dx" in c else None
-    try:
-        return ProblemSpec(
-            domain=Rectangle(cfg.a, cfg.b, float(c["T"])),
-            f=curve("f", "x"),
-            g=curve("g", "x"),
-            h1=curve("h1", "t"),
-            h2=curve("h2", "t"),
-            nonlinearity=nonlin,
-            source=source,
-            exact=exact,
-            exact_dx=exact_dx,
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"custom problem rejected: {exc}") from None
+    return ProblemSpec(
+        domain=Rectangle(cfg.a, cfg.b, float(c["T"])),
+        f=curve("f", "x"),
+        g=curve("g", "x"),
+        h1=curve("h1", "t"),
+        h2=curve("h2", "t"),
+        nonlinearity=nonlin,
+        source=source,
+        exact=exact,
+        exact_dx=exact_dx,
+    )
 
 
 def _eval_points(cfg: RunConfig, domain: Rectangle) -> list[tuple[float, float]]:
@@ -252,7 +251,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
         f"problem = {cfg.problem}",
         f"nx = {cfg.nx}",
         f"nt = {cfg.nt}",
-        f"ordering = {cfg.ordering}",
         f"outer_sweeps = {cfg.outer_sweeps}",
         f"tol = {cfg.tol:.17g}",
         f"refinement_levels = {cfg.refinement_levels}",
@@ -334,7 +332,7 @@ def run(cfg: RunConfig, out: str | None = None, fmt: str | None = None) -> int:
         nx = cfg.nx * 2 ** level
         nt = cfg.nt * 2 ** level
         start = time.perf_counter()
-        colloc = generate_collocation(nx, nt, cfg.ordering)
+        colloc = generate_collocation(nx, nt)
         sol = solver.solve(hp, colloc, outer_sweeps=cfg.outer_sweeps, tol=cfg.tol)
         if problem.exact is not None:
             report = error_table(sol, pts_eval)

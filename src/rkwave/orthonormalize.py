@@ -5,7 +5,8 @@ beta_ik of the combinations Psihat_i = sum_{k<=i} beta_ik Psi_k.  With the
 Gram matrix A = L L^T (Cholesky), beta = L^{-1} produces the same
 orthonormal system as sequential Gram-Schmidt, up to rounding, and
 satisfies beta A beta^T = I.  beta is never formed: every use of it is a
-triangular solve against L.
+triangular solve against L, done here by blocked substitution in O(N^2)
+per right-hand side.
 
 L comes from LAPACK in double precision.  A pivot failure reports *which*
 leading minor broke: for collocation Gram matrices that index points at
@@ -24,6 +25,10 @@ from .errors import NotPositiveDefinite
 # than silently regularizing: degenerate bases indicate bad collocation
 # input and a patched factor would corrupt every downstream diagnostic.
 PIVOT_RTOL = 1e-12
+
+# Unknowns per block of the triangular solves: the coupling to blocks
+# already solved is one matrix product, the rest is row substitution.
+SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,3 +109,24 @@ def condition_estimate(gram) -> float:
     except NotPositiveDefinite:
         return float("inf")
     return _condition(a)
+
+
+def solve_lower(low: np.ndarray, rhs) -> np.ndarray:
+    """x with L x = rhs for lower-triangular L, by blocked forward substitution.
+
+    ``rhs`` is a vector or a matrix of right-hand-side columns.  Costs
+    O(N^2) per column, where np.linalg.solve would run an O(N^3) LU of L.
+    """
+    x = np.array(rhs, dtype=float)
+    n = low.shape[0]
+    for k in range(0, n, SOLVE_BLOCK):
+        e = min(k + SOLVE_BLOCK, n)
+        x[k:e] -= low[k:e, :k] @ x[:k]
+        for i in range(k, e):
+            x[i] = (x[i] - low[i, k:i] @ x[k:i]) / low[i, i]
+    return x
+
+
+def solve_lower_t(low: np.ndarray, rhs) -> np.ndarray:
+    """x with L^T x = rhs: reversing rows and columns of L^T makes it lower triangular."""
+    return solve_lower(low[::-1, ::-1].T, np.asarray(rhs)[::-1])[::-1]

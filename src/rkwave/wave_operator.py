@@ -20,7 +20,7 @@ which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class RepresenterBasis:
     space_kernel: PiecewiseKernel
     time_kernel: PiecewiseKernel
     points: tuple[tuple[float, float], ...]
+    # point coordinates as read-only arrays, built once from ``points``
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Gram assembly takes two derivatives per slot; only order-3 kernels
@@ -55,17 +58,13 @@ class RepresenterBasis:
             raise ValueError("representer basis requires order-3 kernels in both factors")
         pts = tuple((float(x), float(t)) for x, t in self.points)
         object.__setattr__(self, "points", pts)
+        for name, coords in (("xs", [x for x, _ in pts]), ("ts", [t for _, t in pts])):
+            arr = np.array(coords, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
 
 
 def psi_eval(basis: RepresenterBasis, i: int, x: float, t: float, dx: int = 0) -> float:

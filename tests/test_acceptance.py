@@ -6,8 +6,8 @@ quantity, then asserts the gate.  Run with `pytest tests/test_acceptance.py
 
 Three magnitude gates (05 solution accuracy, 06 soliton benchmark accuracy,
 09 derivative accuracy) encode reference-quality error levels at the fixed
-9x9 collocation grid.  The sequential recursion implemented here provably
-yields the unique collocation solution in its representer span (checked
+9x9 collocation grid.  The collocation sweeps implemented here converge to
+the unique collocation solution in its representer span (checked
 against independently quadrature-computed expansion coefficients), and that
 solution's error at 9x9 is two orders above those gates, so they fail; the
 printed lines carry the measured values.  The structural sub-gates

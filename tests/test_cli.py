@@ -23,7 +23,6 @@ def strip_seconds(text):
 def test_parse_defaults(tmp_path):
     cfg = cli.parse_config(write(tmp_path, "problem = ex51\n"))
     assert (cfg.nx, cfg.nt) == (9, 9)
-    assert cfg.ordering == "time_major"
     assert cfg.outer_sweeps == 5
     assert cfg.tol == 1e-10
     assert cfg.refinement_levels == 0
@@ -40,6 +39,8 @@ def test_parse_rejects_bad_configs(tmp_path):
         "problem = custom\na = 0\nb = 1\n",  # missing expressions
         "problem = ex51\neval_points = 0.1,0.1\neval_grid = 3,3\n",
         "problem = ex51\nformat = yaml\n",
+        "problem = ex51\neval_points = 2.0,0.5\n",  # outside the rectangle
+        "problem = ex52\na = 1\nb = 0\n",  # degenerate rectangle
     ):
         with pytest.raises(ConfigError):
             cli.parse_config(write(tmp_path, body))

@@ -3,7 +3,14 @@ import pytest
 
 from rkwave.errors import NotPositiveDefinite
 from rkwave.kernels import closed_form_kernel
-from rkwave.orthonormalize import PIVOT_RTOL, condition_estimate, factor
+from rkwave.orthonormalize import (
+    PIVOT_RTOL,
+    SOLVE_BLOCK,
+    condition_estimate,
+    factor,
+    solve_lower,
+    solve_lower_t,
+)
 from rkwave.tensor_space import inner_product_numeric_2d
 from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix, psi_section
 
@@ -165,3 +172,16 @@ def test_permutation_covariance():
     beta_p = orthonormalizer(factor(p @ a @ p.T))
     cross = beta_p @ p @ a @ beta.T  # <new_i, old_j>_W
     assert np.max(np.abs(cross @ cross.T - np.eye(n))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, SOLVE_BLOCK - 1, SOLVE_BLOCK, 2 * SOLVE_BLOCK + 5])
+def test_blocked_triangular_solves_match_linalg_solve(n):
+    rng = np.random.default_rng(n)
+    low = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        before = rhs.copy()
+        assert np.allclose(solve_lower(low, rhs), np.linalg.solve(low, rhs), rtol=0, atol=1e-12)
+        assert np.allclose(solve_lower_t(low, rhs), np.linalg.solve(low.T, rhs), rtol=0,
+                           atol=1e-12)
+        assert np.array_equal(rhs, before)  # the right-hand side is not overwritten
+
