@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import logging
 import math
 import sys
 import time
@@ -29,6 +30,8 @@ from . import problems, solver
 from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite
 from .problems import Curve, ProblemSpec, Rectangle, builtin, error_table
 from .solver import generate_collocation
+
+logger = logging.getLogger(__name__)
 
 CSV_HEADER = "x,t,exact,approx,abs_err,rel_err,seconds"
 SUMMARY_HEADER = "level,nx,nt,n_basis,max_abs_err,solution_norm,gram_condition,sweeps,seconds"
@@ -334,16 +337,22 @@ def run(cfg: RunConfig, out: str | None = None, fmt: str | None = None) -> int:
         start = time.perf_counter()
         colloc = generate_collocation(nx, nt)
         sol = solver.solve(hp, colloc, outer_sweeps=cfg.outer_sweeps, tol=cfg.tol)
+        if not sol.converged:
+            logger.warning("level %d (nx=%d, nt=%d): stopped at outer_sweeps = %d with the "
+                           "last sweep moving the values by %.3e > tol = %.3e",
+                           level, nx, nt, sol.sweeps_used, sol.last_update, cfg.tol)
         if problem.exact is not None:
             report = error_table(sol, pts_eval)
             rows = report.rows
             max_err = report.max_abs_error
         else:
             nan = float("nan")
-            rows = tuple(
-                problems.ErrorRow(x, t, nan, solver.evaluate(sol, x, t), nan, nan, 0.0)
-                for x, t in pts_eval
-            )
+            rows = []
+            for x, t in pts_eval:
+                t0 = time.perf_counter()
+                approx = solver.evaluate(sol, x, t)
+                rows.append(problems.ErrorRow(x, t, nan, approx, nan, nan,
+                                              time.perf_counter() - t0))
             max_err = nan
         seconds = time.perf_counter() - start
         tables.append(rows)

@@ -21,6 +21,14 @@ makes the answer depend on the point order; the whole-vector sweep does not.
 The conceptual first collocation point is the origin, where the homogenized
 solution vanishes; since its representer is identically zero it anchors
 v_0 = 0 but is excluded from the basis (a zero Gram row cannot be factored).
+
+Evaluation is a cell lookup.  On each cell of the grid of distinct
+collocation coordinates the series is one bivariate polynomial, so every
+solution carries a table of 12x12 blocks built once from its weights
+(``wave_operator.series_table``); a point then costs two bisections, one
+Horner pass and one 12-vector bilinear form, independent of the basis
+size.  The table holds (distinct xi + 1)(distinct tau + 1) 144 doubles and
+serves both v and dv/dxi.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from . import wave_operator
 from .errors import NonFiniteValue, OutOfDomain
 from .kernels import closed_form_kernel
 from .orthonormalize import GramFactor, factor, solve_lower, solve_lower_t
-from .wave_operator import RepresenterBasis, psi_values
+from .wave_operator import RepresenterBasis, SeriesTable, psi_values, series_table
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,14 @@ class Solution:
     hp: "object"  # problems.HomogenizedProblem (duck-typed to avoid a cycle)
     points: CollocationSet
     sweeps_used: int
+    converged: bool  # the last sweep moved the values by at most tol
+    last_update: float  # max |change of the collocation values| in the last sweep
     norm_history: np.ndarray = field(init=False)
+    table: SeriesTable = field(init=False, repr=False)  # the series per grid cell
 
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
+        self.table = series_table(self.basis, self.psi_weights)
 
 
 def _source_values(m_fun, pts, vals: np.ndarray) -> np.ndarray:
@@ -114,8 +126,9 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     Each sweep solves A c = M(p, v) with v the previous sweep's solution
     values at the points (v = 0 for the first sweep), and the sweeps stop
     when the max change of those values drops to ``tol`` or after
-    ``outer_sweeps`` of them.  Reaching the cap does not raise; the number
-    of sweeps run is ``sweeps_used``.
+    ``outer_sweeps`` of them.  Reaching the cap does not raise: the number
+    of sweeps run is ``sweeps_used``, ``converged`` says whether the last
+    one moved the values by at most ``tol``, and ``last_update`` by how much.
     """
     if outer_sweeps < 1:
         raise ValueError("outer_sweeps must be >= 1")
@@ -133,9 +146,10 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
         b = solve_lower(bf.L, _source_values(hp.M, basis.points, vals))
         c = solve_lower_t(bf.L, b)
         vals, prev = psi @ c, vals
-        if np.max(np.abs(vals - prev)) <= tol:
+        update = float(np.max(np.abs(vals - prev)))
+        if update <= tol:
             break
-    return Solution(basis, bf, b, c, hp, pts, sweeps_used)
+    return Solution(basis, bf, b, c, hp, pts, sweeps_used, update <= tol, update)
 
 
 def _canonical_point(sol: Solution, x: float, t: float):
@@ -151,17 +165,13 @@ def _canonical_point(sol: Solution, x: float, t: float):
 def evaluate(sol: Solution, x: float, t: float) -> float:
     """Evaluate the reconstructed solution u = v_n + w at a physical point."""
     xi, tau = _canonical_point(sol, x, t)
-    psi = psi_values(sol.basis, xi, tau)[0]
-    v = float(psi @ sol.psi_weights)
-    return v + sol.hp.lifting(x, t)
+    return sol.table.value(xi, tau) + sol.hp.lifting(x, t)
 
 
 def evaluate_dx(sol: Solution, x: float, t: float) -> float:
     """Evaluate du/dx via the termwise-differentiated series plus lifting."""
     xi, tau = _canonical_point(sol, x, t)
-    dpsi = psi_values(sol.basis, xi, tau, dx=1)[0]
-    v_xi = float(dpsi @ sol.psi_weights)
-    return v_xi * sol.hp.maps.dxi_dx + sol.hp.lifting_x(x, t)
+    return sol.table.value(xi, tau, dx=1) * sol.hp.maps.dxi_dx + sol.hp.lifting_x(x, t)
 
 
 def solution_norm(sol: Solution) -> float:

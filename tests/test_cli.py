@@ -186,3 +186,36 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         "nx = 2\nnt = 2\n")
     assert cli.main([str(write(tmp_path, body))]) == 3
     assert "solver.solve" in capsys.readouterr().err
+
+
+def test_seconds_column_without_exact_solution(tmp_path):
+    body = (
+        "problem = custom\na = 0\nb = 1\nT = 1\n"
+        "f = sin(pi*x)\nf_d1 = pi*cos(pi*x)\nf_d2 = -(pi**2)*sin(pi*x)\n"
+        "g = 0\ng_d1 = 0\ng_d2 = 0\n"
+        "h1 = 0\nh1_d1 = 0\nh1_d2 = 0\n"
+        "h2 = 0\nh2_d1 = 0\nh2_d2 = 0\n"
+        "nx = 3\nnt = 3\neval_points = 0.3,0.4; 0.5,0.5; 0.9,0.1\n")
+    out = tmp_path / "run.csv"
+    assert cli.main([str(write(tmp_path, body)), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert math.isnan(float(row[2]))
+        assert float(row[6]) > 0.0
+
+
+def test_sweep_cap_warns_without_failing(tmp_path, caplog):
+    body = "problem = ex52\nnx = 3\nnt = 3\nouter_sweeps = 2\nrefinement_levels = 1\n"
+    out = tmp_path / "run.csv"
+    with caplog.at_level("WARNING", logger="rkwave.cli"):
+        assert cli.main([str(write(tmp_path, body)), "--out", str(out)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert [m.split(" ")[:2] for m in warnings] == [["level", "0"], ["level", "1"]]
+    assert all("outer_sweeps = 2" in m for m in warnings)
+    summary = (tmp_path / "run_summary.csv").read_text().splitlines()
+    assert summary[0] == cli.SUMMARY_HEADER
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="rkwave.cli"):
+        assert cli.main([str(write(tmp_path, "problem = ex51\nnx = 3\nnt = 3\n"))]) == 0
+    assert not [r for r in caplog.records if r.name == "rkwave.cli"]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rkwave import problems, solver
+from rkwave import kernels, problems, solver, wave_operator
 from rkwave.errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
 from rkwave.solver import CollocationSet, generate_collocation
-from rkwave.wave_operator import apply_L_numeric
+from rkwave.wave_operator import apply_L_numeric, psi_values
 
 
 def test_generate_collocation_examples():
@@ -47,7 +47,9 @@ def test_zero_source_gives_zero_series():
     assert np.all(sol.B == 0.0)
     assert solver.solution_norm(sol) == 0.0
     assert solver.evaluate(sol, 0.3, 0.7) == 0.0
+    assert solver.evaluate_dx(sol, 0.3, 0.7) == 0.0
     assert sol.sweeps_used == 1
+    assert sol.converged and sol.last_update == 0.0
 
 
 def test_linear_solve_is_single_pass(ex51_hp):
@@ -190,3 +192,47 @@ def test_degenerate_points_rejected(ex51_hp):
     pts = CollocationSet(((0.0, 0.0), (0.5, 0.5), (0.5 + 1e-15, 0.5)))
     with pytest.raises(NotPositiveDefinite):
         solver.solve(ex51_hp, pts)
+
+
+def test_converged_flag(ex51_hp, ex52_hp):
+    capped = solver.solve(ex52_hp, generate_collocation(5, 5), outer_sweeps=2, tol=1e-10)
+    assert capped.sweeps_used == 2
+    assert capped.converged is False
+    assert capped.last_update > 1e-10
+    done = solver.solve(ex51_hp, generate_collocation(5, 5), outer_sweeps=5, tol=1e-10)
+    assert done.converged is True
+    assert done.last_update <= 1e-10
+
+
+def test_evaluate_matches_kernel_rows_inside_the_margin(ex52_sol_9):
+    # points up to the domain guard's tolerance outside the rectangle
+    sol = ex52_sol_9
+    maps = sol.hp.maps
+    eps = 0.5e-9 * max(1.0, maps.b - maps.a, maps.T)
+    w = sol.psi_weights
+    for x, t in ((maps.b + eps, 0.5), (maps.a - eps, 0.5), (0.3, maps.T + eps),
+                 (0.3, -eps), (maps.b + eps, -eps), (maps.a - eps, maps.T + eps)):
+        xi, tau = maps.to_canonical(x, t)
+        for dx, ev, lift, slope in ((0, solver.evaluate, sol.hp.lifting, 1.0),
+                                    (1, solver.evaluate_dx, sol.hp.lifting_x, maps.dxi_dx)):
+            row = psi_values(sol.basis, xi, tau, dx)[0]
+            expect = float(row @ w) * slope + lift(x, t)
+            scale = float((np.abs(row) + 1.0) @ np.abs(w)) * slope + abs(lift(x, t))
+            assert abs(ev(sol, x, t) - expect) <= 64 * np.finfo(float).eps * scale
+
+
+def test_evaluation_cost_does_not_grow_with_the_basis(ex51_hp, monkeypatch):
+    # after the first evaluation no 1 x N kernel row is built per point
+    sol = solver.solve(ex51_hp, generate_collocation(6, 6))
+    first = (solver.evaluate(sol, 0.3, 0.4), solver.evaluate_dx(sol, 0.3, 0.4))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point evaluation built a kernel row")
+
+    for module, name in ((wave_operator, "psi_values"), (solver, "psi_values"),
+                         (kernels, "eval_kernel_grid"), (wave_operator, "eval_kernel_grid")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert (solver.evaluate(sol, 0.3, 0.4), solver.evaluate_dx(sol, 0.3, 0.4)) == first
+    for x, t in ((0.0, 0.5), (1.0, 1.0), (0.5, 0.0), (1 / 7, 2 / 7)):
+        solver.evaluate(sol, x, t)
+        solver.evaluate_dx(sol, x, t)

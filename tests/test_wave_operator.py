@@ -12,7 +12,13 @@ from rkwave.wave_operator import (
     psi_eval,
     psi_section,
     psi_values,
+    series_table,
 )
+
+# The table sums the same terms as a kernel row in another order, so it may
+# differ from the row by a few ulps of sum_k |c_k| (|Psi_k| + 1): the branch
+# coefficients are O(1), so even near a zero of Psi_k a term rounds at ~|c_k|.
+TABLE_RTOL = 64 * np.finfo(float).eps
 
 
 def make_basis(nx, nt, alpha=1.0, gamma=1.0):
@@ -156,3 +162,89 @@ def test_psi_eval_rejects_higher_dx():
     basis = make_basis(2, 2)
     with pytest.raises(ValueError):
         psi_eval(basis, 0, 0.5, 0.5, dx=2)
+
+
+def random_points(n, rng):
+    pts = set()
+    while len(pts) < n:
+        pts.add((float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 1.0))))
+    return tuple(sorted(pts))
+
+
+def assert_table_matches_rows(basis, weights, xi, tau):
+    """series_table(...).value against the kernel-row oracle psi_values @ weights."""
+    table = series_table(basis, weights)
+    xi = np.asarray(xi, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    for dx in (0, 1):
+        rows = psi_values(basis, xi, tau, dx)
+        values = [table.value(float(x), float(t), dx) for x, t in zip(xi, tau)]
+        assert all(type(v) is float for v in values)
+        got = np.array(values)
+        scale = (np.abs(rows) + 1.0) @ np.abs(weights)
+        assert np.all(np.abs(got - rows @ weights) <= TABLE_RTOL * scale)
+
+
+def test_series_table_matches_kernel_rows_at_random_points():
+    rng = np.random.default_rng(11)
+    basis = make_basis(6, 5, alpha=0.7, gamma=2.5)
+    weights = rng.normal(size=len(basis)) * 10.0 ** rng.integers(-2, 5, len(basis))
+    assert_table_matches_rows(basis, weights, rng.random(200), rng.random(200))
+
+
+def test_series_table_matches_kernel_rows_at_collocation_coordinates():
+    # cell edges: a point on a coordinate line takes the lower branch there
+    rng = np.random.default_rng(12)
+    basis = make_basis(5, 4, alpha=1.3, gamma=0.4)
+    weights = rng.normal(size=len(basis))
+    xs, ts = np.unique(basis.xs), np.unique(basis.ts)
+    grid_x, grid_t = np.meshgrid(xs, ts)
+    xi = np.concatenate([grid_x.ravel(), xs, rng.random(len(ts))])
+    tau = np.concatenate([grid_t.ravel(), rng.random(len(xs)), ts])
+    assert_table_matches_rows(basis, weights, xi, tau)
+
+
+def test_series_table_matches_kernel_rows_on_a_scattered_point_set():
+    rng = np.random.default_rng(13)
+    pts = random_points(12, rng)
+    basis = RepresenterBasis(WaveOperator(0.8, 1.9), closed_form_kernel("R_spatial"),
+                             closed_form_kernel("r_temporal"), pts)
+    weights = rng.normal(size=len(basis))
+    table = series_table(basis, weights)
+    assert len(table.xs) == len(table.ts) == 12
+    assert table.blocks.shape == (13, 13, 12, 12)
+    coords = np.array(pts)
+    xi = np.concatenate([rng.random(100), coords[:, 0], coords[:, 0]])
+    tau = np.concatenate([rng.random(100), coords[:, 1], coords[::-1, 1]])
+    assert_table_matches_rows(basis, weights, xi, tau)
+
+
+def test_series_table_just_outside_the_square():
+    rng = np.random.default_rng(14)
+    basis = make_basis(4, 4)
+    weights = rng.normal(size=len(basis))
+    d = 1e-9
+    xi = [1 + d, -d, 0.37, 0.37, 1 + d, -d]
+    tau = [0.42, 0.42, 1 + d, -d, 1 + d, -d]
+    assert_table_matches_rows(basis, weights, xi, tau)
+
+
+def test_series_table_is_exactly_zero_on_the_dead_edges():
+    rng = np.random.default_rng(15)
+    scattered = RepresenterBasis(WaveOperator(0.8, 1.9), closed_form_kernel("R_spatial"),
+                                 closed_form_kernel("r_temporal"), random_points(12, rng))
+    for basis in (make_basis(7, 6, alpha=0.3, gamma=4.0), scattered):
+        table = series_table(basis, rng.normal(size=len(basis)) * 1e4)
+        line = np.concatenate([np.linspace(0.0, 1.0, 41), basis.xs, basis.ts])
+        for s in line:
+            assert table.value(0.0, s) == 0.0
+            assert table.value(1.0, s) == 0.0
+            assert table.value(s, 0.0) == 0.0
+        zero = series_table(basis, np.zeros(len(basis)))
+        assert zero.value(0.31, 0.77) == zero.value(0.31, 0.77, dx=1) == 0.0
+
+
+def test_series_table_rejects_higher_dx():
+    table = series_table(make_basis(2, 2), np.ones(4))
+    with pytest.raises(ValueError):
+        table.value(0.5, 0.5, dx=2)
