@@ -15,15 +15,13 @@ from .kernels import (
     PiecewiseKernel,
     SpaceSpec,
     closed_form_kernel,
-    coefficient_table_diff,
     derive_kernel_oracle,
-    dump_kernel,
     eval_kernel,
     inner_product_numeric,
     kernel_section,
     space_spec,
 )
-from .orthonormalize import GramFactor, condition_estimate, factor
+from .orthonormalize import GramFactor, factor
 from .problems import (
     Curve,
     ErrorReport,

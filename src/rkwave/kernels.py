@@ -18,24 +18,21 @@ Branches are stored as dense 6x6 monomial coefficient matrices (entry [i, j]
 multiplies x^i y^j; order-1 kernels only populate the leading 2x2 block),
 which makes differentiation in either slot exact.
 
-Kernels come from two independent routes:
-
-* ``derive_kernel_oracle`` solves the characterizing linear system read off
-  from integration by parts: essential constraints at the interval ends,
-  natural boundary conditions (coefficients of unconstrained boundary
-  derivatives must vanish), C^(2m-2) continuity across the diagonal, and a
-  unit jump in the (2m-1)-th derivative.
-* ``closed_form_kernel`` returns the tabulated closed-form coefficients,
-  cross-checked entrywise against the oracle; any tabulated entry that fails
-  the kernel identities is replaced by the derived value and the
-  substitution is logged (see ``coefficient_table_diff``).
+Every kernel is derived, not tabulated: ``derive_kernel_oracle`` solves the
+characterizing linear system read off from integration by parts (essential
+constraints at the interval ends, natural boundary conditions, C^(2m-2)
+continuity across the diagonal and a unit jump in the (2m-1)-th derivative)
+exactly in rational arithmetic and rounds each coefficient to a double once;
+``closed_form_kernel`` caches that derivation per space id.  The paper's
+printed coefficient tables serve only as a test reference; one of their
+entries is misprinted (R_spatial lower[4][5], printed 1/2938, exactly 1/2928).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -44,14 +41,7 @@ from numpy.polynomial.polynomial import polyval2d
 from .errors import DiagonalDerivativeUndefined, SingularSystem
 from .quadrature import panel_rule
 
-logger = logging.getLogger(__name__)
-
 SPACE_IDS = ("R_spatial", "r_temporal", "Q_spatial", "q_temporal")
-
-# Tabulated entries that disagree with the oracle by more than this are
-# treated as misprints and replaced.  Oracle noise sits near 1e-12; the one
-# known misprint is off by ~1.2e-6.
-_TABLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,18 +50,12 @@ class SpaceSpec:
 
     essential_constraints lists (derivative order, endpoint) pairs that
     members must annihilate; discrete_terms lists the boundary terms of the
-    inner product; integral_order is the derivative order under the L2
-    integral and equals ``order``.
+    inner product, whose integral term is of derivative order ``order``.
     """
 
     order: int
     essential_constraints: tuple[tuple[int, int], ...]
     discrete_terms: tuple[tuple[int, int], ...]
-    integral_order: int
-
-    def __post_init__(self):
-        if self.order != self.integral_order:
-            raise ValueError("order and integral_order must agree")
 
 
 @dataclass(frozen=True)
@@ -97,10 +81,10 @@ class PiecewiseKernel:
 
 
 _SPECS = {
-    "R_spatial": SpaceSpec(3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1)), 3),
-    "r_temporal": SpaceSpec(3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0)), 3),
-    "Q_spatial": SpaceSpec(1, (), ((0, 0),), 1),
-    "q_temporal": SpaceSpec(1, (), ((0, 0),), 1),
+    "R_spatial": SpaceSpec(3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))),
+    "r_temporal": SpaceSpec(3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0))),
+    "Q_spatial": SpaceSpec(1, (), ((0, 0),)),
+    "q_temporal": SpaceSpec(1, (), ((0, 0),)),
 }
 
 
@@ -113,72 +97,12 @@ def space_spec(space_id: str) -> SpaceSpec:
 
 
 # --------------------------------------------------------------------------
-# tabulated closed-form coefficients
-# --------------------------------------------------------------------------
-
-def _r_spatial_tables():
-    c = np.zeros((6, 6))
-    d = np.zeros((6, 6))
-    # rows are x powers, columns are y powers
-    c[1] = [0.0, 31 / 61, -127 / 244, 0.0, 5 / 244, -1 / 122]
-    c[2] = [0.0, -127 / 244, 1137 / 1952, -1 / 12, 127 / 5856, -1 / 2928]
-    c[4] = [0.0, -31 / 1464, 127 / 5856, 0.0, -5 / 5856, 1 / 2938]  # note 2938
-    c[5] = [1 / 120, -1 / 122, -1 / 2928, 0.0, 1 / 2928, -1 / 7320]
-    d[0] = [0.0, 0.0, 0.0, 0.0, 0.0, 1 / 120]
-    d[1] = [0.0, 31 / 61, -127 / 244, 0.0, -31 / 1464, -1 / 122]
-    d[2] = [0.0, -127 / 244, 1137 / 1952, 0.0, 127 / 5856, -1 / 2928]
-    d[3] = [0.0, 0.0, -1 / 12, 0.0, 0.0, 0.0]
-    d[4] = [0.0, 5 / 244, 127 / 5856, 0.0, -5 / 5856, 1 / 2928]
-    d[5] = [0.0, -1 / 122, -1 / 2928, 0.0, 1 / 2928, -1 / 7320]
-    return c, d
-
-
-def _r_temporal_tables():
-    c = np.zeros((6, 6))
-    # (1/4) s^2 t^2 + (1/12) s^2 t^3 - (1/24) s t^4 + (1/120) t^5   (t <= s)
-    c[2, 2] = 1 / 4
-    c[3, 2] = 1 / 12
-    c[4, 1] = -1 / 24
-    c[5, 0] = 1 / 120
-    return c, c.T.copy()
-
-
-def _w21_tables():
-    c = np.zeros((6, 6))
-    c[0, 0] = 1.0  # 1 + x for x <= y
-    c[1, 0] = 1.0
-    d = np.zeros((6, 6))
-    d[0, 0] = 1.0  # 1 + y for x > y
-    d[0, 1] = 1.0
-    return c, d
-
-
-_TABLES = {
-    "R_spatial": _r_spatial_tables,
-    "r_temporal": _r_temporal_tables,
-    "Q_spatial": _w21_tables,
-    "q_temporal": _w21_tables,
-}
-
-
-def tabulated_coefficients(space_id: str):
-    """Raw tabulated branch matrices, before any corrections."""
-    if space_id not in _TABLES:
-        raise ValueError(f"unknown space id {space_id!r}")
-    return _TABLES[space_id]()
-
-
-# --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
 
-def _falling(i: int, d: int) -> float:
-    """i (i-1) ... (i-d+1); the monomial derivative factor."""
-    return float(math.perm(i, d))
-
-
-# _FALLING[d, i] = _falling(i, d) for the 6x6 branch matrices
-_FALLING = np.array([[_falling(i, d) for i in range(6)] for d in range(6)])
+# _FALLING[d, i] = i (i-1) ... (i-d+1), the monomial derivative factor, for
+# the 6x6 branch matrices
+_FALLING = np.array([[math.perm(i, d) for i in range(6)] for d in range(6)], dtype=float)
 
 
 def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -280,6 +204,10 @@ def inner_product_numeric(spec: SpaceSpec, u, g, split_at=()) -> float:
     return total
 
 
+# --------------------------------------------------------------------------
+# derivation
+# --------------------------------------------------------------------------
+
 def _polish_columns_at_one(mat: np.ndarray) -> None:
     # Drive the Horner-order column sums (the branch value at x = 1) to the
     # rounding floor.  The exact coefficient columns sum to zero; stored
@@ -293,44 +221,30 @@ def _polish_columns_at_one(mat: np.ndarray) -> None:
             mat[-1, j] -= s
 
 
-def _polish_rows_at_one(mat: np.ndarray) -> None:
-    for i in range(mat.shape[0]):
-        for _ in range(3):
-            s = 0.0
-            for j in range(mat.shape[1] - 1, -1, -1):
-                s += mat[i, j]
-            mat[i, -1] -= s
+def _eliminate(row: dict, rhs: Fraction, pivot: int, pivot_row: list) -> Fraction:
+    """Subtract row[pivot] times ``pivot_row`` ([row, rhs]) from ``row`` in place.
 
-
-def _enforce_essential_zeros(lower: np.ndarray, upper: np.ndarray, spec: SpaceSpec) -> None:
-    """Make the kernel's essential constraints hold exactly in both slots.
-
-    Constraints at endpoint 0 zero out whole coefficient rows/columns;
-    constraints at endpoint 1 are sum conditions, polished to the rounding
-    floor.  Perturbations are ~1e-17, far below every other tolerance.
+    Returns the right-hand side reduced the same way.
     """
-    for d, e in spec.essential_constraints:
-        if e == 0:
-            lower[d, :] = 0.0  # argument slot: x = 0 lies on the lower branch
-            upper[:, d] = 0.0  # parameter slot: y = 0 lies under the upper branch
+    f = row[pivot]
+    prow, prhs = pivot_row
+    for k, v in prow.items():
+        value = row.get(k, 0) - f * v
+        if value:
+            row[k] = value
         else:
-            if d != 0:
-                raise ValueError("only value constraints are supported at endpoint 1")
-            _polish_columns_at_one(upper)
-            _polish_rows_at_one(lower)
+            row.pop(k, None)
+    return rhs - f * prhs
 
 
-# --------------------------------------------------------------------------
-# derivation oracle
-# --------------------------------------------------------------------------
+def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
+    """Exact coefficients C[i][j] of the kernel's lower branch x <= y.
 
-def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:
-    """Derive the reproducing kernel from its characterizing conditions.
-
-    Writing K as sum_{ij} C[i,j] x^i y^j on x <= y and D[i,j] x^i y^j on
-    x > y with 0 <= i, j <= 2m-1, each condition below must hold for every
-    parameter y, i.e. per power of y; collecting powers turns the lot into
-    one overdetermined-but-consistent linear system in the entries of C, D:
+    Writing K as sum_{ij} C[i,j] x^i y^j on x <= y with 0 <= i, j <= 2m-1,
+    and as its mirror image sum_{ij} C[j,i] x^i y^j on x > y (the kernel is
+    symmetric), each condition below must hold for every parameter y, i.e.
+    per power of y; collecting powers turns the lot into one
+    overdetermined-but-consistent linear system in the entries of C:
 
     (a) essential constraints of the space at the argument-slot endpoints,
     (b) natural boundary conditions: in
@@ -344,162 +258,116 @@ def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:
     (d) unit jump of the (2m-1)-th x-derivative across the diagonal
         (lower minus upper), which is what reproduces point evaluation.
 
-    Raises SingularSystem when the system is rank deficient or inconsistent,
-    which signals a wrong SpaceSpec.
+    Every coefficient of the system is an integer, so Gauss-Jordan
+    elimination over sparse rows of Fractions solves it exactly.  Raises
+    SingularSystem when the system is rank deficient or inconsistent, which
+    signals a wrong SpaceSpec.
     """
     m = spec.order
     if m < 1:
         raise ValueError("order must be >= 1")
     n = 2 * m  # coefficients per branch and per variable
-    ncols = 2 * n * n
     essential = set(spec.essential_constraints)
     discrete = set(spec.discrete_terms)
+    rows = []  # (coefficients by unknown, right-hand side)
 
-    def col(branch: int, i: int, j: int) -> int:
-        return branch * n * n + i * n + j
+    def add(row: dict, branch: int, i: int, j: int, coef: int) -> None:
+        # adds coef times the x^i y^j coefficient of the branch; the upper
+        # branch (1) holds C transposed
+        k = i * n + j if branch == 0 else j * n + i
+        row[k] = row.get(k, 0) + coef
 
-    rows = []
-    rhs = []
-
-    def endpoint_row(branch: int, j: int, order: int, e: int, scale: float, row):
-        # adds scale * K^(order)(e) restricted to the y^j column
+    def endpoint(row: dict, branch: int, j: int, order: int, e: int, sign: int) -> None:
+        # adds sign * K^(order)(e) restricted to the y^j column
         for i in range(order, n):
-            row[col(branch, i, j)] += scale * _falling(i, order) * float(e) ** (i - order)
+            add(row, branch, i, j, sign * math.perm(i, order) * e ** (i - order))
 
-    # (a) essential constraints
+    # (a) essential constraints; the endpoint x = e lies on branch e
     for d, e in spec.essential_constraints:
-        branch = 0 if e == 0 else 1
         for j in range(n):
-            row = np.zeros(ncols)
-            endpoint_row(branch, j, d, e, 1.0, row)
-            rows.append(row)
-            rhs.append(0.0)
+            row = {}
+            endpoint(row, e, j, d, e, 1)
+            rows.append((row, 0))
 
     # (b) natural boundary conditions for every unconstrained u^(d)(e)
     for d in range(m):
         for e in (0, 1):
             if (d, e) in essential:
                 continue
-            branch = 0 if e == 0 else 1
-            sign = (1.0 if e == 1 else -1.0) * (-1.0) ** (m - 1 - d)
+            sign = (1 if e == 1 else -1) * (-1) ** (m - 1 - d)
             for j in range(n):
-                row = np.zeros(ncols)
+                row = {}
                 if (d, e) in discrete:
-                    endpoint_row(branch, j, d, e, 1.0, row)
-                endpoint_row(branch, j, 2 * m - 1 - d, e, sign, row)
-                rows.append(row)
-                rhs.append(0.0)
+                    endpoint(row, e, j, d, e, 1)
+                endpoint(row, e, j, 2 * m - 1 - d, e, sign)
+                rows.append((row, 0))
 
     # (c) continuity of orders 0 .. 2m-2 along x = y: collect powers of y
     for d in range(2 * m - 1):
         for p in range((2 * m - 1 - d) + (2 * m - 1) + 1):
-            row = np.zeros(ncols)
-            hit = False
+            row = {}
             for i in range(d, n):
                 j = p - (i - d)
                 if 0 <= j < n:
-                    f = _falling(i, d)
-                    row[col(0, i, j)] += f
-                    row[col(1, i, j)] -= f
-                    hit = True
-            if hit:
-                rows.append(row)
-                rhs.append(0.0)
+                    add(row, 0, i, j, math.perm(i, d))
+                    add(row, 1, i, j, -math.perm(i, d))
+            rows.append((row, 0))
 
     # (d) unit jump of the (2m-1)-th derivative, lower minus upper
-    top = _falling(n - 1, n - 1)
+    top = math.factorial(n - 1)
     for j in range(n):
-        row = np.zeros(ncols)
-        row[col(0, n - 1, j)] = top
-        row[col(1, n - 1, j)] = -top
-        rows.append(row)
-        rhs.append(1.0 if j == 0 else 0.0)
+        row = {}
+        add(row, 0, n - 1, j, top)
+        add(row, 1, n - 1, j, -top)
+        rows.append((row, 1 if j == 0 else 0))
 
-    a = np.vstack(rows)
-    b = np.array(rhs)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < ncols:
+    # Gauss-Jordan: pivot rows stay fully reduced, so reducing a new row by
+    # them leaves it free of every pivot unknown.  Taking the sparsest rows
+    # first and pivoting on the highest power keeps the fill-in small.
+    pivots = {}
+    for coefs, rhs in sorted(rows, key=lambda r: len(r[0])):
+        row = {k: Fraction(v) for k, v in coefs.items() if v}
+        rhs = Fraction(rhs)
+        for k in [k for k in row if k in pivots]:
+            rhs = _eliminate(row, rhs, k, pivots[k])
+        if not row:
+            if rhs:
+                raise SingularSystem("characterizing system is inconsistent; "
+                                     "check the space description")
+            continue
+        k = max(row)
+        scale = row[k]
+        new = [{kk: v / scale for kk, v in row.items()}, rhs / scale]
+        for prow in pivots.values():
+            if k in prow[0]:
+                prow[1] = _eliminate(prow[0], prow[1], k, new)
+        pivots[k] = new
+    if len(pivots) < n * n:
         raise SingularSystem(
-            f"characterizing system has rank {rank} < {ncols}; check the space description"
-        )
-    residual = float(np.max(np.abs(a @ sol - b)))
-    if residual > 1e-9:
-        raise SingularSystem(
-            f"characterizing system is inconsistent (residual {residual:.3e}); "
+            f"characterizing system has rank {len(pivots)} < {n * n}; "
             "check the space description"
         )
+    return [[pivots[i * n + j][1] for j in range(n)] for i in range(n)]
 
-    c = sol[: n * n].reshape(n, n)
-    d_mat = sol[n * n:].reshape(n, n)
-    # the kernel is symmetric, so upper(x, y) = lower(y, x); averaging the
-    # two numerically computed branches removes least-squares noise
-    c = 0.5 * (c + d_mat.T)
-    lower = np.zeros((6, 6))
-    lower[:n, :n] = c
+
+def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:
+    """Derive the reproducing kernel from its characterizing conditions.
+
+    The exact rational coefficients (``_exact_coefficients``) are rounded to
+    doubles once.  Where the space pins u(1) = 0, the last row of the upper
+    branch is then polished so that the branch is exactly zero at x = 1; the
+    lower branch is the transpose, so the kernel is exactly symmetric.
+    """
+    c = np.array(_exact_coefficients(spec), dtype=float)
+    n = c.shape[0]
     upper = np.zeros((6, 6))
     upper[:n, :n] = c.T
-    _enforce_essential_zeros(lower, upper, spec)
-    return PiecewiseKernel(lower, upper, m)
-
-
-@lru_cache(maxsize=None)
-def _derived(space_id: str) -> PiecewiseKernel:
-    return derive_kernel_oracle(space_spec(space_id))
-
-
-@lru_cache(maxsize=None)
-def coefficient_table_diff(space_id: str):
-    """Entries where the tabulated coefficients fail the kernel identities.
-
-    Returns a tuple of (branch, i, j, tabulated, derived) records; empty when
-    the tables agree with the derivation to within oracle noise.
-    """
-    derived = _derived(space_id)
-    lo, up = tabulated_coefficients(space_id)
-    diffs = []
-    for branch, tab, der in (("lower", lo, derived.lower), ("upper", up, derived.upper)):
-        bad = np.argwhere(np.abs(tab - der) > _TABLE_TOL * np.maximum(1.0, np.abs(der)))
-        for i, j in bad:
-            diffs.append((branch, int(i), int(j), float(tab[i, j]), float(der[i, j])))
-    return tuple(diffs)
+    if (0, 1) in spec.essential_constraints:
+        _polish_columns_at_one(upper)
+    return PiecewiseKernel(upper.T.copy(), upper, spec.order)
 
 
 @lru_cache(maxsize=None)
 def closed_form_kernel(space_id: str) -> PiecewiseKernel:
-    """Closed-form kernel for ``space_id``, with misprint corrections.
-
-    The tabulated coefficients are returned verbatim except for entries that
-    fail the kernel identities (diagonal continuity, symmetry, reproduction);
-    those are replaced by the derived values and logged.
-    """
-    spec = space_spec(space_id)
-    lo, up = tabulated_coefficients(space_id)
-    lo = lo.copy()
-    up = up.copy()
-    for branch, i, j, tab, der in coefficient_table_diff(space_id):
-        target = lo if branch == "lower" else up
-        target[i, j] = der
-        logger.warning(
-            "%s: tabulated %s[%d][%d] = %.17g fails kernel identities; using derived %.17g",
-            space_id, branch, i, j, tab, der,
-        )
-    _enforce_essential_zeros(lo, up, spec)
-    return PiecewiseKernel(lo, up, spec.order)
-
-
-# --------------------------------------------------------------------------
-# debug export
-# --------------------------------------------------------------------------
-
-def dump_kernel(k: PiecewiseKernel) -> str:
-    """Plain-text dump of the two branch matrices (debugging aid).
-
-    Row-major, full double precision, one matrix per block, '#' comments.
-    Not a stability-guaranteed format.
-    """
-    out = [f"# piecewise kernel, order m = {k.order}"]
-    for name, mat in (("lower (x <= y)", k.lower), ("upper (x > y)", k.upper)):
-        out.append(f"# {name}, rows are x powers, columns are y powers")
-        for row in mat:
-            out.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(out) + "\n"
+    """The kernel of ``space_id``, derived once per process."""
+    return derive_kernel_oracle(space_spec(space_id))

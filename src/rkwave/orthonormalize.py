@@ -101,16 +101,6 @@ def factor(gram) -> GramFactor:
     return GramFactor(_cholesky(a), _condition(a))
 
 
-def condition_estimate(gram) -> float:
-    """cond_2 of a symmetric matrix; infinity when it does not factor."""
-    a = _check_symmetric(gram)
-    try:
-        _cholesky(a)
-    except NotPositiveDefinite:
-        return float("inf")
-    return _condition(a)
-
-
 def solve_lower(low: np.ndarray, rhs) -> np.ndarray:
     """x with L x = rhs for lower-triangular L, by blocked forward substitution.
 

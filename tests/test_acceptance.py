@@ -22,8 +22,6 @@ import pytest
 from rkwave import cli, kernels, problems, solver
 from rkwave.kernels import (
     closed_form_kernel,
-    coefficient_table_diff,
-    derive_kernel_oracle,
     eval_kernel_grid,
     inner_product_numeric,
     kernel_section,
@@ -41,6 +39,7 @@ from rkwave.wave_operator import (
 )
 
 from conftest import Separable, poly, sinusoid
+from paper_tables import MISPRINTS, printed_vs_exact, table_kernel
 
 MEMBERS_1D = {
     "R_spatial": [poly(0, 1, -1), sinusoid(np.pi), poly(0, 0, 1, -2, 1)],
@@ -84,30 +83,28 @@ def basis_for_grid(n):
 def test_criterion_01_kernel_oracle_equivalence():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for sid in ("Q_spatial", "q_temporal", "r_temporal"):
-        oracle = derive_kernel_oracle(space_spec(sid))
-        table = closed_form_kernel(sid)
+    for sid in kernels.SPACE_IDS:
+        k = closed_form_kernel(sid)
+        table = table_kernel(sid)
         xs, ys = rng.random(100), rng.random(100)
         worst = max(worst, float(np.max(np.abs(
-            eval_kernel_grid(oracle, xs, ys) - eval_kernel_grid(table, xs, ys)))))
+            eval_kernel_grid(k, xs, ys) - eval_kernel_grid(table, xs, ys)))))
     # derived R passes the reproducing-property test on its own
-    oracle_r = derive_kernel_oracle(space_spec("R_spatial"))
+    derived_r = closed_form_kernel("R_spatial")
     spec = space_spec("R_spatial")
     resid = 0.0
     for u in MEMBERS_1D["R_spatial"]:
         for y in np.linspace(0.05, 0.95, 10):
-            got = inner_product_numeric(spec, u, kernel_section(oracle_r, y), split_at=(y,))
+            got = inner_product_numeric(spec, u, kernel_section(derived_r, y), split_at=(y,))
             resid = max(resid, abs(got - float(u(y))))
-    diffs = coefficient_table_diff("R_spatial")
-    print("coefficient-table diff for the order-3 spatial kernel:")
-    for branch, i, j, tab, der in diffs:
-        print(f"  {branch}[{i}][{j}]: tabulated {tab:.12e} -> derived {der:.12e}")
-    single_known = (len(diffs) == 1 and diffs[0][:3] == ("lower", 4, 5)
-                    and abs(diffs[0][3] - 1 / 2938) < 1e-15
-                    and abs(diffs[0][4] - 1 / 2928) < 1e-9)
+    diffs = [(sid,) + d for sid in kernels.SPACE_IDS for d in printed_vs_exact(sid)]
+    print("printed coefficient tables against the exact derivation:")
+    for sid, branch, i, j, printed, derived in diffs:
+        print(f"  {sid} {branch}[{i}][{j}]: printed {printed} -> derived {derived}")
+    single_known = len(diffs) == 1 and MISPRINTS.get(diffs[0][:4]) == diffs[0][4:]
     gate("01", worst <= 1e-10 and resid <= 1e-8 and single_known,
-         "oracle matches closed forms; single tabulated misprint detected",
-         f"eval diff {worst:.2e}, oracle-R reproducing residual {resid:.2e}")
+         "derived kernels match the corrected printed tables; single printed misprint detected",
+         f"eval diff {worst:.2e}, derived-R reproducing residual {resid:.2e}")
 
 
 def test_criterion_02_reproducing_property_1d():

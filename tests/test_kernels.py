@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,19 +8,17 @@ from rkwave.errors import DiagonalDerivativeUndefined, SingularSystem
 from rkwave.kernels import (
     SpaceSpec,
     closed_form_kernel,
-    coefficient_table_diff,
     derive_kernel_oracle,
-    dump_kernel,
     eval_kernel,
     eval_kernel_branch,
     eval_kernel_grid,
     inner_product_numeric,
     kernel_section,
     space_spec,
-    tabulated_coefficients,
 )
 
 from conftest import poly, sinusoid
+from paper_tables import MISPRINTS, printed_vs_exact, table_kernel
 
 ORDER3_IDS = ("R_spatial", "r_temporal")
 
@@ -35,7 +35,6 @@ MEMBERS = {
 def test_space_specs():
     for sid in kernels.SPACE_IDS:
         spec = space_spec(sid)
-        assert spec.order == spec.integral_order
         assert spec.order in (1, 3)
     assert len(space_spec("R_spatial").essential_constraints) == 2
     assert space_spec("R_spatial").essential_constraints == ((0, 0), (0, 1))
@@ -43,11 +42,6 @@ def test_space_specs():
     assert space_spec("Q_spatial").essential_constraints == ()
     with pytest.raises(ValueError):
         space_spec("bogus")
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        SpaceSpec(3, (), ((0, 0),), 1)
 
 
 def test_w21_kernel_is_one_plus_min():
@@ -73,11 +67,29 @@ def test_r_temporal_diagonal_value():
 
 
 def test_r_spatial_printed_entries():
-    lo, up = tabulated_coefficients("R_spatial")
-    assert lo[0].tolist() == [0.0] * 6          # c1 = 0
-    assert up[0, 5] == pytest.approx(1 / 120)   # d1 = y^5/120
-    lo_q, _ = tabulated_coefficients("Q_spatial")
-    assert lo_q[0, 0] == 1.0 and lo_q[1, 0] == 1.0  # 1 + x lower branch
+    R = closed_form_kernel("R_spatial")
+    assert R.lower[0].tolist() == [0.0] * 6   # c1 = 0
+    assert R.upper[0, 5] == 1 / 120           # d1 = y^5/120
+    q = closed_form_kernel("Q_spatial")
+    assert q.lower[0, 0] == 1.0 and q.lower[1, 0] == 1.0  # 1 + x lower branch
+
+
+@pytest.mark.parametrize("sid", kernels.SPACE_IDS)
+def test_kernel_coefficients_exactly_symmetric(sid):
+    k = closed_form_kernel(sid)
+    assert np.array_equal(k.upper, k.lower.T)
+
+
+def test_misprinted_entry_holds_exact_value():
+    assert closed_form_kernel("R_spatial").lower[4, 5] == 1 / 2928
+
+
+def test_building_kernels_logs_nothing(caplog):
+    caplog.set_level(logging.DEBUG)
+    closed_form_kernel.cache_clear()
+    for sid in kernels.SPACE_IDS:
+        closed_form_kernel(sid)
+    assert caplog.records == []
 
 
 def test_essential_constraints_in_argument_slot():
@@ -200,39 +212,29 @@ def test_positive_semidefinite(sid):
 
 @pytest.mark.parametrize("sid", kernels.SPACE_IDS)
 def test_oracle_matches_closed_form(sid):
-    oracle = derive_kernel_oracle(space_spec(sid))
-    table = closed_form_kernel(sid)
-    assert np.max(np.abs(oracle.lower - table.lower)) < 1e-10
-    assert np.max(np.abs(oracle.upper - table.upper)) < 1e-10
+    # the runtime kernel against the paper's tables with the misprint fixed
+    k = closed_form_kernel(sid)
+    table = table_kernel(sid)
+    assert np.max(np.abs(k.lower - table.lower)) < 1e-10
+    assert np.max(np.abs(k.upper - table.upper)) < 1e-10
     rng = np.random.default_rng(3)
     xs, ys = rng.random(100), rng.random(100)
-    diff = eval_kernel_grid(oracle, xs, ys) - eval_kernel_grid(table, xs, ys)
+    diff = eval_kernel_grid(k, xs, ys) - eval_kernel_grid(table, xs, ys)
     assert np.max(np.abs(diff)) < 1e-10
 
 
-def test_coefficient_table_diff_finds_single_misprint():
-    diffs = coefficient_table_diff("R_spatial")
+def test_printed_tables_differ_from_derivation_in_single_misprint():
+    diffs = printed_vs_exact("R_spatial")
     assert len(diffs) == 1
-    branch, i, j, tab, der = diffs[0]
+    branch, i, j, printed, derived = diffs[0]
+    assert (printed, derived) == MISPRINTS[("R_spatial", branch, i, j)]
     assert (branch, i, j) == ("lower", 4, 5)
-    assert tab == pytest.approx(1 / 2938, rel=1e-12)
-    assert der == pytest.approx(1 / 2928, rel=1e-9)
     for sid in ("r_temporal", "Q_spatial", "q_temporal"):
-        assert coefficient_table_diff(sid) == ()
+        assert printed_vs_exact(sid) == []
 
 
 def test_oracle_rejects_degenerate_space():
     # no discrete terms: the bilinear form is degenerate, no kernel exists
-    bad = SpaceSpec(3, (), (), 3)
+    bad = SpaceSpec(3, (), ())
     with pytest.raises(SingularSystem):
         derive_kernel_oracle(bad)
-
-
-def test_dump_kernel_roundtrip():
-    k = closed_form_kernel("R_spatial")
-    text = dump_kernel(k)
-    rows = [line for line in text.splitlines() if not line.startswith("#")]
-    assert len(rows) == 12
-    values = np.array([[float(v) for v in row.split()] for row in rows])
-    assert np.array_equal(values[:6], k.lower)
-    assert np.array_equal(values[6:], k.upper)
