@@ -56,10 +56,11 @@ _ALLOWED_NODES = (
 def compile_expression(src: str, variables=("x",)):
     """Compile a closed-form expression string into a float-valued callable.
 
-    Only arithmetic, the listed math functions, and the given variable names
-    are allowed.  Arithmetic failures at evaluation time (division by zero,
-    overflow, domain errors) come back as NaN so that downstream finiteness
-    checks can flag the offending point.
+    Only arithmetic, numbers (compiled as floats, so 9**9**9 overflows at once
+    instead of building a huge integer), the listed math functions, and the
+    given variable names are allowed.  Arithmetic failures at evaluation time
+    (division by zero, overflow, domain errors) come back as NaN so that
+    downstream finiteness checks can flag the offending point.
     """
     try:
         tree = ast.parse(src, mode="eval")
@@ -72,6 +73,10 @@ def compile_expression(src: str, variables=("x",)):
             raise ConfigError(f"bad expression {src!r}: only direct function calls allowed")
         if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES and node.id not in variables:
             raise ConfigError(f"bad expression {src!r}: unknown name {node.id!r}")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float) or abs(node.value) > sys.float_info.max:
+                raise ConfigError(f"bad expression {src!r}: constants must be float numbers")
+            node.value = float(node.value)
     code = compile(tree, "<config>", "eval")
 
     def fn(*args):

@@ -135,7 +135,8 @@ def _branch_values(mats, x, y, dx: int, dy: int) -> list:
 
     Each branch C gives sum_ij C[i,j] x^i y^j: Horner in x first, for every
     column at once, then a contraction with the powers V(y)[..., j] = y^j.
-    A column x against a row y makes that contraction one matrix product.
+    A column x against a row y, as for the 1-D kernel matrices of a
+    collocation grid, makes that contraction one matrix product.
     Horner in x keeps a branch exactly zero at x = 1 where its polished
     column sums vanish (see ``_polish_columns_at_one``).
     """

@@ -74,10 +74,6 @@ class AffineMaps:
     def dxi_dx(self) -> float:
         return 1.0 / (self.b - self.a)
 
-    @property
-    def dtau_dt(self) -> float:
-        return 1.0 / self.T
-
     def to_canonical(self, x: float, t: float):
         return (x - self.a) / (self.b - self.a), t / self.T
 

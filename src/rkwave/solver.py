@@ -14,21 +14,17 @@ whose right-hand side depends on the solution values Psi c at the points.
 Each sweep evaluates m at the previous sweep's values (zero at the start),
 solves the two triangular systems against L and updates the values,
 until they stop moving.  For M independent of v the first sweep is exact
-and the second merely confirms it.  The paper's sequential recursion
-B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k)) has the same fixed point but
-makes the answer depend on the point order; the whole-vector sweep does not.
+and the second merely confirms it.  (The paper's sequential recursion
+B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k)) has the same fixed point.)
 
-The conceptual first collocation point is the origin, where the homogenized
-solution vanishes; since its representer is identically zero it anchors
-v_0 = 0 but is excluded from the basis (a zero Gram row cannot be factored).
+The collocation points are a tensor grid off the dead edges xi = 0, 1 and
+tau = 0, where every representer vanishes (the paper's first point, the
+origin, only anchors v = 0).  A and Psi c come from the grid's 1-D kernel
+matrices, so A and L are the only N x N arrays of a solve.
 
-Evaluation is a cell lookup.  On each cell of the grid of distinct
-collocation coordinates the series is one bivariate polynomial, so every
-solution carries a table of 12x12 blocks built once from its weights
-(``wave_operator.series_table``); a point then costs two bisections, one
-Horner pass and one 12-vector bilinear form, independent of the basis
-size.  The table holds (distinct xi + 1)(distinct tau + 1) 144 doubles and
-serves both v and dv/dxi.
+Evaluation is a cell lookup: every solution carries the per-cell table of
+its series (``wave_operator.series_table``), so a point costs the same at
+any basis size, for v and dv/dxi alike.
 """
 
 from __future__ import annotations
@@ -38,65 +34,47 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wave_operator
-from .errors import NonFiniteValue, OutOfDomain
+from .errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
 from .kernels import closed_form_kernel
 from .orthonormalize import GramFactor, factor, solve_lower, solve_lower_t
-from .wave_operator import RepresenterBasis, SeriesTable, psi_values, series_table
+from .wave_operator import RepresenterBasis, SeriesTable, grid_coordinates, series_table
 
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Collocation points in the canonical square, origin anchor first.
+    """The collocation grid: strictly increasing xis in (0, 1) and taus in (0, 1].
 
-    Basis points (everything after the anchor) must be distinct and stay off
-    the dead edges xi = 0, xi = 1 and tau = 0 where every representer
-    vanishes identically.
+    Point j nx + i is (xis[i], taus[j]), all xi at one tau before the next tau.
     """
 
-    points: tuple[tuple[float, float], ...]
+    xis: tuple[float, ...]
+    taus: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple((float(x), float(t)) for x, t in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts or pts[0] != (0.0, 0.0):
-            raise ValueError("collocation sets must start at the origin")
-        basis = pts[1:]
-        if len(set(basis)) != len(basis):
-            raise ValueError("collocation points must be distinct")
-        for xi, tau in basis:
-            if not (0.0 < xi < 1.0) or not (0.0 < tau <= 1.0):
-                raise ValueError(
-                    f"basis point ({xi}, {tau}) lies on a dead edge of the canonical square"
-                )
-
-    @property
-    def basis_points(self) -> tuple[tuple[float, float], ...]:
-        return self.points[1:]
+        xis, taus = grid_coordinates("xis", self.xis), grid_coordinates("taus", self.taus)
+        if not (0.0 < xis[0] and xis[-1] < 1.0 and 0.0 < taus[0] and taus[-1] <= 1.0):
+            raise ValueError(f"grid {xis} x {taus} touches a dead edge of the canonical square")
+        object.__setattr__(self, "xis", xis)
+        object.__setattr__(self, "taus", taus)
 
 
 def generate_collocation(nx: int, nt: int) -> CollocationSet:
-    """Origin anchor plus the interior tensor grid i/(nx+1) x j/(nt+1).
-
-    Points run through all xi at the first tau, then the second, etc.
-    Growing nx, nt fills the square densely.
-    """
+    """The uniform interior grid xi_i = i/(nx+1), tau_j = j/(nt+1), i, j >= 1."""
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
-    xis = [(i + 1) / (nx + 1) for i in range(nx)]
-    taus = [(j + 1) / (nt + 1) for j in range(nt)]
-    return CollocationSet(((0.0, 0.0),) + tuple((xi, tau) for tau in taus for xi in xis))
+    return CollocationSet(tuple((i + 1) / (nx + 1) for i in range(nx)),
+                          tuple((j + 1) / (nt + 1) for j in range(nt)))
 
 
 @dataclass
 class Solution:
     """A solved collocation expansion plus everything needed to evaluate it."""
 
-    basis: RepresenterBasis
+    basis: RepresenterBasis  # the collocation grid with its representers
     beta: GramFactor  # A = L L^T; beta = L^{-1} itself is never formed
     B: np.ndarray  # coefficients of the orthonormal representers, L B = m
     psi_weights: np.ndarray  # coefficients c of the representers, L^T c = B
     hp: "object"  # problems.HomogenizedProblem (duck-typed to avoid a cycle)
-    points: CollocationSet
     sweeps_used: int
     converged: bool  # the last sweep moved the values by at most tol
     last_update: float  # max |change of the collocation values| in the last sweep
@@ -108,20 +86,23 @@ class Solution:
         self.table = series_table(self.basis, self.psi_weights)
 
 
-def _source_values(m_fun, pts, vals: np.ndarray) -> np.ndarray:
+def _point_label(hp, xi: float, tau: float) -> str:
+    x, t = hp.maps.from_canonical(xi, tau)
+    return f"collocation point (xi, tau) = ({xi}, {tau}), (x, t) = ({x}, {t})"
+
+
+def _source_values(hp, pts, vals: np.ndarray) -> np.ndarray:
     """M at each collocation point; the first non-finite value raises, naming its point."""
     m = np.empty(len(pts))
     for i, ((xi, tau), v) in enumerate(zip(pts, vals)):
-        m[i] = m_fun(xi, tau, float(v))
+        m[i] = hp.M(xi, tau, float(v))
         if not np.isfinite(m[i]):
-            raise NonFiniteValue(
-                f"solver.solve: source term returned {m[i]} at collocation point ({xi}, {tau})"
-            )
+            raise NonFiniteValue(f"source term returned {m[i]} at {_point_label(hp, xi, tau)}")
     return m
 
 
 def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
-    """Solve the homogenized problem on the given collocation set.
+    """Solve the homogenized problem on the given collocation grid.
 
     Each sweep solves A c = M(p, v) with v the previous sweep's solution
     values at the points (v = 0 for the first sweep), and the sweeps stop
@@ -129,27 +110,27 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     ``outer_sweeps`` of them.  Reaching the cap does not raise: the number
     of sweeps run is ``sweeps_used``, ``converged`` says whether the last
     one moved the values by at most ``tol``, and ``last_update`` by how much.
+    A Gram pivot failure raises NotPositiveDefinite naming its collocation point.
     """
     if outer_sweeps < 1:
         raise ValueError("outer_sweeps must be >= 1")
-    basis = RepresenterBasis(
-        hp.operator,
-        closed_form_kernel("R_spatial"),
-        closed_form_kernel("r_temporal"),
-        pts.basis_points,
-    )
-    bf = factor(wave_operator.gram_matrix(basis))
-    psi = psi_values(basis, basis.xs, basis.ts)  # Psi_k at collocation point i
+    basis = RepresenterBasis(hp.operator, closed_form_kernel("R_spatial"),
+                             closed_form_kernel("r_temporal"), pts.xis, pts.taus)
+    try:
+        bf = factor(wave_operator.gram_matrix(basis))
+    except NotPositiveDefinite as exc:
+        where = _point_label(hp, *basis.points[exc.index])
+        raise NotPositiveDefinite(exc.index, f"{exc} at {where}") from None
 
     vals = np.zeros(len(basis))
     for sweeps_used in range(1, outer_sweeps + 1):
-        b = solve_lower(bf.L, _source_values(hp.M, basis.points, vals))
+        b = solve_lower(bf.L, _source_values(hp, basis.points, vals))
         c = solve_lower_t(bf.L, b)
-        vals, prev = psi @ c, vals
+        vals, prev = wave_operator.collocation_values(basis, c), vals
         update = float(np.max(np.abs(vals - prev)))
         if update <= tol:
             break
-    return Solution(basis, bf, b, c, hp, pts, sweeps_used, update <= tol, update)
+    return Solution(basis, bf, b, c, hp, sweeps_used, update <= tol, update)
 
 
 def _canonical_point(sol: Solution, x: float, t: float):

@@ -17,16 +17,19 @@ Applying that identity to Psi_j itself gives the closed-form Gram entry
 a four-term combination of kernel derivatives of order at most 2 per slot,
 which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 
+The collocation points form a tensor grid and every term is a space factor
+times a time factor, so A and the series values at the points are built
+from 1-D kernel matrices on the grid coordinates, never an N x N one.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
-one bivariate polynomial on each cell of the grid of distinct collocation
-coordinates; ``series_table`` tabulates it once so that ``SeriesTable.value``
-costs the same at any basis size.
+one bivariate polynomial on each cell of the grid; ``series_table``
+tabulates it once so that ``SeriesTable.value`` costs the same at any N.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,15 +48,28 @@ class WaveOperator:
             raise ValueError("operator coefficients must be positive")
 
 
+def grid_coordinates(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; ValueError unless nonempty and strictly increasing."""
+    coords = tuple(float(v) for v in values)
+    if not coords or not all(lo < hi for lo, hi in zip(coords, coords[1:])):
+        raise ValueError(f"{name} must be nonempty and strictly increasing, got {coords}")
+    return coords
+
+
 @dataclass(frozen=True)
 class RepresenterBasis:
-    """Representer functions Psi_i attached to a list of collocation points."""
+    """Representer functions Psi_i on the tensor grid of collocation points.
+
+    Point i = j nx + k is (xis[k], taus[j]), listed in that order by
+    ``points`` and, as read-only arrays, by ``xs`` and ``ts``.
+    """
 
     operator: WaveOperator
     space_kernel: PiecewiseKernel
     time_kernel: PiecewiseKernel
-    points: tuple[tuple[float, float], ...]
-    # point coordinates as read-only arrays, built once from ``points``
+    xis: tuple[float, ...]
+    taus: tuple[float, ...]
+    points: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     xs: np.ndarray = field(init=False, repr=False, compare=False)
     ts: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -62,15 +78,24 @@ class RepresenterBasis:
         # keep that below the diagonal-smoothness limit 2m-2.
         if self.space_kernel.order != 3 or self.time_kernel.order != 3:
             raise ValueError("representer basis requires order-3 kernels in both factors")
-        pts = tuple((float(x), float(t)) for x, t in self.points)
-        object.__setattr__(self, "points", pts)
-        for name, coords in (("xs", [x for x, _ in pts]), ("ts", [t for _, t in pts])):
-            arr = np.array(coords, dtype=float)
+        xis, taus = grid_coordinates("xis", self.xis), grid_coordinates("taus", self.taus)
+        xs, ts = np.tile(xis, len(taus)), np.repeat(taus, len(xis))
+        for arr in (xs, ts):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, value in dict(xis=xis, taus=taus, xs=xs, ts=ts,
+                                points=tuple(zip(xs.tolist(), ts.tolist()))).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def kernel_matrices(self) -> tuple[dict, dict]:
+        """(R, T): R[p, q][k, l] = d^p_x d^q_y R(xis[k], xis[l]), p, q in {0, 2}; T on taus."""
+        return tuple({(p, q): eval_kernel_grid(k, c[:, None], c[None, :], p, q)
+                      for p in (0, 2) for q in (0, 2)}
+                     for k, c in ((self.space_kernel, np.array(self.xis)),
+                                  (self.time_kernel, np.array(self.taus))))
 
 
 def psi_eval(basis: RepresenterBasis, i: int, x: float, t: float, dx: int = 0) -> float:
@@ -114,13 +139,11 @@ def psi_values(basis: RepresenterBasis, x, t, dx: int = 0) -> np.ndarray:
     op = basis.operator
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ta = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    xk = basis.xs[None, :]
-    tk = basis.ts[None, :]
-    vals = (op.alpha * eval_kernel_grid(basis.space_kernel, xa, xk, dx, 0)
+    xk, tk = basis.xs[None, :], basis.ts[None, :]
+    return (op.alpha * eval_kernel_grid(basis.space_kernel, xa, xk, dx, 0)
             * eval_kernel_grid(basis.time_kernel, ta, tk, 0, 2)
             - op.gamma * eval_kernel_grid(basis.space_kernel, xa, xk, dx, 2)
             * eval_kernel_grid(basis.time_kernel, ta, tk, 0, 0))
-    return vals
 
 
 def _sums_below(a: np.ndarray, axis: int) -> np.ndarray:
@@ -145,7 +168,7 @@ _SPACE_COLUMNS = np.repeat([False, True], 12)
 class SeriesTable:
     """The series v = sum_k c_k Psi_k tabulated per cell of the coordinate grid.
 
-    ``xs`` and ``ts`` are the distinct basis coordinates, ascending.  A point
+    ``xs`` and ``ts`` are the grid coordinates, ascending.  A point
     (xi, tau) lies in cell (b, a) with b = bisect_left(ts, tau) and
     a = bisect_left(xs, xi), so basis point (ts[j], xs[i]) sits on the lower
     kernel branch in time iff j >= b and in space iff i >= a, exactly the
@@ -194,16 +217,11 @@ class SeriesTable:
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     """Tabulate sum_k weights[k] Psi_k for ``SeriesTable.value``.
 
-    The weights are scattered onto the grid of distinct coordinates (zero
-    where the grid has no basis point), so any distinct point set works.
     Each quadrant is its own cumulative sum, so a quadrant with no basis
-    points is exactly zero: no total-minus-partial cancellation reaches the
-    dead edges.
+    points is exactly zero: no cancellation reaches the dead edges.
     """
-    xs, ix = np.unique(basis.xs, return_inverse=True)
-    ts, it = np.unique(basis.ts, return_inverse=True)
-    c = np.zeros((len(ts), len(xs)))
-    c[it, ix] = weights
+    xs, ts = np.array(basis.xis), np.array(basis.taus)
+    c = np.reshape(weights, (len(ts), len(xs)))
     q = np.arange(6)
 
     def powers(y):  # V(y) and V''(y), one row per coordinate
@@ -224,7 +242,7 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     for dx in (0, 1):
         columns[dx, :6 - dx, 12:] = np.hstack([_deriv_matrix(m, dx, 0)
                                               for m in (rk.upper, rk.lower)])
-    return SeriesTable(tuple(xs.tolist()), tuple(ts.tolist()), blocks, columns)
+    return SeriesTable(basis.xis, basis.taus, blocks, columns)
 
 
 def gram_entry(basis: RepresenterBasis, i: int, j: int) -> float:
@@ -242,30 +260,26 @@ def gram_entry(basis: RepresenterBasis, i: int, j: int) -> float:
 
 
 def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
-    """Full Gram matrix, assembled from vectorized kernel evaluations.
+    """Full Gram matrix: each term of ``gram_entry`` is a Kronecker product on the grid,
 
-    Entries are independent; this dense assembly writes disjoint slots and
-    is safe to split across workers if ever needed.
+        A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
     """
+    r, t = basis.kernel_matrices
+    a, g = basis.operator.alpha, basis.operator.gamma
+    return (np.kron(t[2, 2], a * a * r[0, 0])
+            - a * g * (np.kron(t[0, 2], r[2, 0]) + np.kron(t[2, 0], r[0, 2]))
+            + np.kron(t[0, 0], g * g * r[2, 2]))
+
+
+def collocation_values(basis: RepresenterBasis, weights) -> np.ndarray:
+    """sum_k weights[k] Psi_k at the collocation points, psi_values(basis, xs, ts) @ weights.
+
+    With the weights as an nt x nx matrix C that is a T02 C R00^T - g T00 C R02^T.
+    """
+    r, t = basis.kernel_matrices
     op = basis.operator
-    xi = basis.xs[:, None]
-    xj = basis.xs[None, :]
-    ti = basis.ts[:, None]
-    tj = basis.ts[None, :]
-    rk = basis.space_kernel
-    tk = basis.time_kernel
-    a, g = op.alpha, op.gamma
-    r00 = eval_kernel_grid(rk, xi, xj, 0, 0)
-    r20 = eval_kernel_grid(rk, xi, xj, 2, 0)
-    r02 = eval_kernel_grid(rk, xi, xj, 0, 2)
-    r22 = eval_kernel_grid(rk, xi, xj, 2, 2)
-    t00 = eval_kernel_grid(tk, ti, tj, 0, 0)
-    t20 = eval_kernel_grid(tk, ti, tj, 2, 0)
-    t02 = eval_kernel_grid(tk, ti, tj, 0, 2)
-    t22 = eval_kernel_grid(tk, ti, tj, 2, 2)
-    return (a * a * r00 * t22
-            - a * g * (r20 * t02 + r02 * t20)
-            + g * g * r22 * t00)
+    c = np.reshape(weights, (len(basis.taus), len(basis.xis)))
+    return (op.alpha * t[0, 2] @ c @ r[0, 0].T - op.gamma * t[0, 0] @ c @ r[0, 2].T).ravel()
 
 
 def apply_L_numeric(op: WaveOperator, f, x: float, t: float, h: float) -> float:

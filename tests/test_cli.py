@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,34 @@ def test_expression_compiler_guards():
     with pytest.raises(ConfigError):
         cli.compile_expression("lambda: 1", ("x",))
     assert math.isnan(cli.compile_expression("1/x", ("x",))(0.0))
+
+
+def test_expression_constants_must_be_numbers():
+    # rejected at compile time, so nothing here is ever evaluated
+    for src in ("'a'*10**10", "b'a'", "1j", "True + x", "None", "1" + "0" * 400):
+        with pytest.raises(ConfigError):
+            cli.compile_expression(src, ("x",))
+    assert cli.compile_expression("7//2 + 2**-1", ("x",))(0.0) == 3.5
+
+
+def test_power_tower_overflows_instead_of_hanging(tmp_path):
+    # integer constants would make 9**9**9 a 369-million-digit integer; the
+    # subprocess and its timeout keep a regression from hanging the suite
+    body = (
+        "problem = custom\na = 0\nb = 1\nT = 1\n"
+        "f = 9**9**9\nf_d1 = 0\nf_d2 = 0\n"
+        "g = 0\ng_d1 = 0\ng_d2 = 0\n"
+        "h1 = 0\nh1_d1 = 0\nh1_d2 = 0\n"
+        "h2 = 0\nh2_d1 = 0\nh2_d2 = 0\n")
+    script = ("import math, sys\nfrom rkwave import cli\n"
+              "assert math.isnan(cli.compile_expression('9**9**9', ('x',))(0.5))\n"
+              "sys.exit(cli.main([sys.argv[1], '--print-config']))\n")
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(write(tmp_path, body))],
+                         env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True,
+                         timeout=8)
+    assert out.returncode == 0, out.stderr
+    assert "f = 9**9**9" in out.stdout
 
 
 def test_malformed_config_exits_2_without_output(tmp_path):

@@ -10,6 +10,7 @@ from rkwave.orthonormalize import (
     solve_lower,
     solve_lower_t,
 )
+from rkwave.solver import generate_collocation
 from rkwave.tensor_space import inner_product_numeric_2d
 from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix, psi_section
 
@@ -20,9 +21,9 @@ def orthonormalizer(bf):
 
 
 def make_gram(nx, nt):
-    pts = tuple(((i + 1) / (nx + 1), (j + 1) / (nt + 1)) for j in range(nt) for i in range(nx))
+    grid = generate_collocation(nx, nt)
     basis = RepresenterBasis(WaveOperator(), closed_form_kernel("R_spatial"),
-                             closed_form_kernel("r_temporal"), pts)
+                             closed_form_kernel("r_temporal"), grid.xis, grid.taus)
     return basis, gram_matrix(basis)
 
 

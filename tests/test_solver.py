@@ -9,30 +9,34 @@ from rkwave.solver import CollocationSet, generate_collocation
 from rkwave.wave_operator import apply_L_numeric, psi_values
 
 
-def test_generate_collocation_examples():
-    cs = generate_collocation(2, 2)
-    assert cs.points[0] == (0.0, 0.0)
-    assert cs.basis_points == ((1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 2 / 3))
-    cs = generate_collocation(1, 1)
-    assert cs.basis_points == ((0.5, 0.5),)
+def test_generate_collocation_examples(ex51_hp):
+    cs = generate_collocation(2, 3)
+    assert (cs.xis, cs.taus) == ((1 / 3, 2 / 3), (0.25, 0.5, 0.75))
+    assert generate_collocation(1, 1) == CollocationSet((0.5,), (0.5,))
+    sol = solver.solve(ex51_hp, generate_collocation(2, 2))
+    assert sol.basis.points == ((1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 2 / 3))
 
 
 def test_generate_collocation_avoids_dead_edges():
     cs = generate_collocation(7, 5)
-    for xi, tau in cs.basis_points:
-        assert 0.0 < xi < 1.0
-        assert 0.0 < tau
+    assert all(0.0 < xi < 1.0 for xi in cs.xis)
+    assert all(0.0 < tau < 1.0 for tau in cs.taus)
 
 
 def test_collocation_set_validation():
-    with pytest.raises(ValueError):
-        CollocationSet(((0.5, 0.5),))  # missing anchor
-    with pytest.raises(ValueError):
-        CollocationSet(((0.0, 0.0), (0.0, 0.5)))  # xi = 0 is dead
-    with pytest.raises(ValueError):
-        CollocationSet(((0.0, 0.0), (0.5, 0.0)))  # tau = 0 is dead
-    with pytest.raises(ValueError):
-        CollocationSet(((0.0, 0.0), (0.5, 0.5), (0.5, 0.5)))  # duplicate
+    for xis, taus in (
+        ((0.0, 0.5), (0.5,)),  # xi = 0 is dead
+        ((0.5, 1.0), (0.5,)),  # xi = 1 is dead
+        ((0.5,), (0.0, 0.5)),  # tau = 0 is dead
+        ((0.5,), (0.5, 1.5)),  # outside the square
+        ((0.5, 0.5), (0.5,)),  # duplicate
+        ((0.6, 0.4), (0.5,)),  # not increasing
+        ((), (0.5,)),  # empty
+        ((float("nan"),), (0.5,)),
+    ):
+        with pytest.raises(ValueError):
+            CollocationSet(xis, taus)
+    assert CollocationSet((0.5,), (1,)).taus == (1.0,)  # tau = 1 is a live edge
     with pytest.raises(ValueError):
         generate_collocation(0, 3)
 
@@ -65,14 +69,14 @@ def test_collocation_equations_hold(ex51_hp, ex51_sol_9):
     from rkwave.wave_operator import gram_matrix
     sol = ex51_sol_9
     a = gram_matrix(sol.basis)
-    m = np.array([ex51_hp.M(x, t, 0.0) for x, t in sol.points.basis_points])
+    m = np.array([ex51_hp.M(x, t, 0.0) for x, t in sol.basis.points])
     assert np.max(np.abs(a @ sol.psi_weights - m)) < 1e-8
 
     def v_n(x, t):
         from rkwave.wave_operator import psi_values
         return float(psi_values(sol.basis, x, t)[0] @ sol.psi_weights)
 
-    for xi, tau in sol.points.basis_points[:5]:
+    for xi, tau in sol.basis.points[:5]:
         fd = apply_L_numeric(sol.basis.operator, v_n, xi, tau, 1e-3)
         assert abs(fd - ex51_hp.M(xi, tau, 0.0)) < 0.05  # h^2 * |4th derivs|
 
@@ -116,7 +120,7 @@ def test_picard_fixed_point(ex52_hp):
     from rkwave.wave_operator import psi_values
     c = sol.psi_weights
     vals = psi_values(sol.basis, sol.basis.xs, sol.basis.ts) @ c
-    m = np.array([ex52_hp.M(x, t, v) for (x, t), v in zip(sol.points.basis_points, vals)])
+    m = np.array([ex52_hp.M(x, t, v) for (x, t), v in zip(sol.basis.points, vals)])
     low = sol.beta.L
     assert np.max(np.abs(low @ (low.T @ c) - m)) < 1e-10
 
@@ -126,13 +130,27 @@ def test_ex52_sweeps_converge_at_18x18(ex52_hp):
     assert sol.sweeps_used < 30
 
 
-def test_point_order_does_not_change_nonlinear_solution(ex52_hp):
-    grid = generate_collocation(16, 16)
-    reverse = CollocationSet(grid.points[:1] + grid.points[:0:-1])
-    a = solver.solve(ex52_hp, grid, outer_sweeps=30)
-    b = solver.solve(ex52_hp, reverse, outer_sweeps=30)
-    for x, t in ((-0.5, 0.3), (0.1, 0.6), (0.7, 0.9)):
-        assert solver.evaluate(a, x, t) == pytest.approx(solver.evaluate(b, x, t), abs=1e-9)
+def test_solve_builds_no_n_by_n_kernel_matrix(ex52_hp, monkeypatch):
+    # the solve evaluates only the 1-D kernel matrices of the grid and never
+    # a representer matrix, in the Gram assembly and in every sweep
+    nx, nt = 7, 5
+    reference = solver.solve(ex52_hp, generate_collocation(nx, nt), outer_sweeps=40)
+    shapes = []
+
+    def recorded(k, x, y, dx=0, dy=0):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return kernels.eval_kernel_grid(k, x, y, dx, dy)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solve built a representer matrix")
+
+    monkeypatch.setattr(wave_operator, "psi_values", forbidden)
+    monkeypatch.setattr(solver, "psi_values", forbidden, raising=False)
+    monkeypatch.setattr(wave_operator, "eval_kernel_grid", recorded)
+    sol = solver.solve(ex52_hp, generate_collocation(nx, nt), outer_sweeps=40)
+    assert sorted(set(shapes)) == [(nt, nt), (nx, nx)]
+    assert sol.converged and sol.sweeps_used > 2
+    assert np.array_equal(sol.psi_weights, reference.psi_weights)
 
 
 def test_evaluate_accuracy_benchmark(ex51, ex51_sol_9):
@@ -188,10 +206,19 @@ def test_non_finite_source_detected(ex51):
         solver.solve(hp, generate_collocation(2, 2))
 
 
-def test_degenerate_points_rejected(ex51_hp):
-    pts = CollocationSet(((0.0, 0.0), (0.5, 0.5), (0.5 + 1e-15, 0.5)))
-    with pytest.raises(NotPositiveDefinite):
+def test_degenerate_points_rejected(ex51_hp, ex52_hp):
+    # two xi a rounding error apart give two numerically equal representers;
+    # the failure names the second point, canonical and physical
+    pts = CollocationSet((0.5, 0.5 + 1e-15), (0.5,))
+    with pytest.raises(NotPositiveDefinite) as exc:
         solver.solve(ex51_hp, pts)
+    assert exc.value.index == 1
+    assert f"(xi, tau) = ({0.5 + 1e-15}, 0.5)" in str(exc.value)
+    assert f"(x, t) = ({0.5 + 1e-15}, 0.5)" in str(exc.value)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        solver.solve(ex52_hp, pts)
+    x, t = ex52_hp.maps.from_canonical(0.5 + 1e-15, 0.5)
+    assert exc.value.index == 1 and f"(x, t) = ({x}, {t})" in str(exc.value)
 
 
 def test_converged_flag(ex51_hp, ex52_hp):
@@ -231,7 +258,7 @@ def test_evaluation_cost_does_not_grow_with_the_basis(ex51_hp, monkeypatch):
 
     for module, name in ((wave_operator, "psi_values"), (solver, "psi_values"),
                          (kernels, "eval_kernel_grid"), (wave_operator, "eval_kernel_grid")):
-        monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(module, name, forbidden, raising=False)
     assert (solver.evaluate(sol, 0.3, 0.4), solver.evaluate_dx(sol, 0.3, 0.4)) == first
     for x, t in ((0.0, 0.5), (1.0, 1.0), (0.5, 0.0), (1 / 7, 2 / 7)):
         solver.evaluate(sol, x, t)

@@ -7,6 +7,7 @@ from rkwave.wave_operator import (
     RepresenterBasis,
     WaveOperator,
     apply_L_numeric,
+    collocation_values,
     gram_entry,
     gram_matrix,
     psi_eval,
@@ -21,11 +22,20 @@ from rkwave.wave_operator import (
 TABLE_RTOL = 64 * np.finfo(float).eps
 
 
+def grid_basis(xis, taus, alpha=1.0, gamma=1.0):
+    return RepresenterBasis(WaveOperator(alpha, gamma), closed_form_kernel("R_spatial"),
+                            closed_form_kernel("r_temporal"), xis, taus)
+
+
 def make_basis(nx, nt, alpha=1.0, gamma=1.0):
-    pts = tuple(((i + 1) / (nx + 1), (j + 1) / (nt + 1)) for j in range(nt) for i in range(nx))
-    return RepresenterBasis(WaveOperator(alpha, gamma),
-                            closed_form_kernel("R_spatial"),
-                            closed_form_kernel("r_temporal"), pts)
+    return grid_basis([(i + 1) / (nx + 1) for i in range(nx)],
+                      [(j + 1) / (nt + 1) for j in range(nt)], alpha, gamma)
+
+
+def random_grid(nx, nt, rng, alpha=0.8, gamma=1.9):
+    """A non-uniform grid: sorted random coordinates, tau = 1 included."""
+    return grid_basis(np.sort(rng.uniform(0.05, 0.95, nx)),
+                      np.append(np.sort(rng.uniform(0.05, 0.95, nt - 1)), 1.0), alpha, gamma)
 
 
 def test_operator_validation():
@@ -38,7 +48,19 @@ def test_operator_validation():
 def test_basis_requires_order3_kernels():
     with pytest.raises(ValueError):
         RepresenterBasis(WaveOperator(), closed_form_kernel("Q_spatial"),
-                         closed_form_kernel("r_temporal"), ((0.5, 0.5),))
+                         closed_form_kernel("r_temporal"), (0.5,), (0.5,))
+
+
+def test_basis_points_run_tau_outer():
+    basis = grid_basis((0.1, 0.2), (0.3, 0.4, 0.5))
+    assert basis.points == ((0.1, 0.3), (0.2, 0.3), (0.1, 0.4), (0.2, 0.4),
+                            (0.1, 0.5), (0.2, 0.5))
+    assert len(basis) == 6
+    assert basis.xs.tolist() == [x for x, _ in basis.points]
+    assert basis.ts.tolist() == [t for _, t in basis.points]
+    for xis, taus in (((0.2, 0.1), (0.5,)), ((0.5,), (0.3, 0.3)), ((), (0.5,))):
+        with pytest.raises(ValueError):
+            grid_basis(xis, taus)
 
 
 def test_psi_vanishes_on_dead_edges():
@@ -55,9 +77,7 @@ def test_psi_vanishes_on_dead_edges():
 
 
 def test_origin_representer_is_zero():
-    basis = RepresenterBasis(WaveOperator(), closed_form_kernel("R_spatial"),
-                             closed_form_kernel("r_temporal"),
-                             ((0.0, 0.0), (0.5, 0.5)))
+    basis = grid_basis((0.0, 0.5), (0.0, 0.5))  # point 0 is the origin
     assert gram_entry(basis, 0, 0) == 0.0
     xs = np.linspace(0, 1, 11)
     for x in xs:
@@ -136,6 +156,27 @@ def test_linearity_in_coefficients():
     assert np.allclose(As, 2.5 ** 2 * A, rtol=1e-12, atol=1e-14)
 
 
+def test_gram_matrix_matches_gram_entry_on_an_irregular_grid():
+    # nx != nt, uneven spacing and alpha != gamma != 1: a swapped Kronecker
+    # factor or a transposed 1-D matrix changes the entries
+    basis = random_grid(5, 4, np.random.default_rng(21))
+    A = gram_matrix(basis)
+    oracle = np.array([[gram_entry(basis, i, j) for j in range(len(basis))]
+                       for i in range(len(basis))])
+    assert A.shape == (20, 20)
+    assert np.max(np.abs(A - oracle)) <= 64 * np.finfo(float).eps * np.max(np.abs(oracle))
+
+
+def test_collocation_values_match_the_representer_matrix():
+    rng = np.random.default_rng(22)
+    for nx, nt in ((5, 4), (3, 7)):
+        basis = random_grid(nx, nt, rng, alpha=0.35, gamma=2.7)
+        psi = psi_values(basis, basis.xs, basis.ts)
+        c = rng.normal(size=len(basis)) * 10.0 ** rng.integers(-2, 4, len(basis))
+        scale = np.abs(psi) @ np.abs(c)
+        assert np.all(np.abs(collocation_values(basis, c) - psi @ c) <= TABLE_RTOL * scale)
+
+
 @pytest.mark.parametrize("n", [3, 6, 9, 12])
 def test_gram_positive_definite(n):
     A = gram_matrix(make_basis(n, n))
@@ -162,13 +203,6 @@ def test_psi_eval_rejects_higher_dx():
     basis = make_basis(2, 2)
     with pytest.raises(ValueError):
         psi_eval(basis, 0, 0.5, 0.5, dx=2)
-
-
-def random_points(n, rng):
-    pts = set()
-    while len(pts) < n:
-        pts.add((float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 1.0))))
-    return tuple(sorted(pts))
 
 
 def assert_table_matches_rows(basis, weights, xi, tau):
@@ -204,18 +238,15 @@ def test_series_table_matches_kernel_rows_at_collocation_coordinates():
     assert_table_matches_rows(basis, weights, xi, tau)
 
 
-def test_series_table_matches_kernel_rows_on_a_scattered_point_set():
+def test_series_table_matches_kernel_rows_on_an_irregular_grid():
     rng = np.random.default_rng(13)
-    pts = random_points(12, rng)
-    basis = RepresenterBasis(WaveOperator(0.8, 1.9), closed_form_kernel("R_spatial"),
-                             closed_form_kernel("r_temporal"), pts)
+    basis = random_grid(7, 5, rng)
     weights = rng.normal(size=len(basis))
     table = series_table(basis, weights)
-    assert len(table.xs) == len(table.ts) == 12
-    assert table.blocks.shape == (13, 13, 12, 12)
-    coords = np.array(pts)
-    xi = np.concatenate([rng.random(100), coords[:, 0], coords[:, 0]])
-    tau = np.concatenate([rng.random(100), coords[:, 1], coords[::-1, 1]])
+    assert (table.xs, table.ts) == (basis.xis, basis.taus)
+    assert table.blocks.shape == (6, 8, 12, 12)
+    xi = np.concatenate([rng.random(100), basis.xs, basis.xs])
+    tau = np.concatenate([rng.random(100), basis.ts, basis.ts[::-1]])
     assert_table_matches_rows(basis, weights, xi, tau)
 
 
@@ -231,9 +262,7 @@ def test_series_table_just_outside_the_square():
 
 def test_series_table_is_exactly_zero_on_the_dead_edges():
     rng = np.random.default_rng(15)
-    scattered = RepresenterBasis(WaveOperator(0.8, 1.9), closed_form_kernel("R_spatial"),
-                                 closed_form_kernel("r_temporal"), random_points(12, rng))
-    for basis in (make_basis(7, 6, alpha=0.3, gamma=4.0), scattered):
+    for basis in (make_basis(7, 6, alpha=0.3, gamma=4.0), random_grid(6, 9, rng)):
         table = series_table(basis, rng.normal(size=len(basis)) * 1e4)
         line = np.concatenate([np.linspace(0.0, 1.0, 41), basis.xs, basis.ts])
         for s in line:
