@@ -3,9 +3,7 @@
 from .errors import (
     ConfigError,
     DegenerateDomain,
-    DiagonalDerivativeUndefined,
     IncompatibleCorners,
-    NoExactSolution,
     NonFiniteValue,
     NotPositiveDefinite,
     OutOfDomain,
@@ -16,9 +14,7 @@ from .kernels import (
     SpaceSpec,
     closed_form_kernel,
     derive_kernel_oracle,
-    eval_kernel,
-    inner_product_numeric,
-    kernel_section,
+    eval_kernel_grid,
     space_spec,
 )
 from .orthonormalize import GramFactor, factor
@@ -43,16 +39,10 @@ from .solver import (
     solution_norm,
     solve,
 )
-from .tensor_space import TensorKernel, eval_tensor, inner_product_numeric_2d, kernel_w, kernel_w_hat, tensor_section
 from .wave_operator import (
     RepresenterBasis,
     WaveOperator,
-    apply_L_numeric,
-    gram_entry,
     gram_matrix,
-    psi_eval,
-    psi_section,
-    psi_values,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

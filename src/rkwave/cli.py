@@ -346,24 +346,12 @@ def run(cfg: RunConfig, out: str | None = None, fmt: str | None = None) -> int:
             logger.warning("level %d (nx=%d, nt=%d): stopped at outer_sweeps = %d with the "
                            "last sweep moving the values by %.3e > tol = %.3e",
                            level, nx, nt, sol.sweeps_used, sol.last_update, cfg.tol)
-        if problem.exact is not None:
-            report = error_table(sol, pts_eval)
-            rows = report.rows
-            max_err = report.max_abs_error
-        else:
-            nan = float("nan")
-            rows = []
-            for x, t in pts_eval:
-                t0 = time.perf_counter()
-                approx = solver.evaluate(sol, x, t)
-                rows.append(problems.ErrorRow(x, t, nan, approx, nan, nan,
-                                              time.perf_counter() - t0))
-            max_err = nan
+        report = error_table(sol, pts_eval)
         seconds = time.perf_counter() - start
-        tables.append(rows)
+        tables.append(report.rows)
         summary.append({
             "level": level, "nx": nx, "nt": nt, "n_basis": len(sol.basis),
-            "max_abs_err": max_err,
+            "max_abs_err": report.max_abs_error,
             "solution_norm": solver.solution_norm(sol),
             "gram_condition": sol.beta.condition_estimate,
             "sweeps": sol.sweeps_used,

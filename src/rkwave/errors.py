@@ -9,10 +9,6 @@ class SingularSystem(Exception):
     """
 
 
-class DiagonalDerivativeUndefined(ValueError):
-    """Requested a kernel derivative that is discontinuous on x = y."""
-
-
 class NotPositiveDefinite(Exception):
     """A Gram matrix failed Cholesky factorization.
 
@@ -40,10 +36,6 @@ class DegenerateDomain(ValueError):
 
 class OutOfDomain(ValueError):
     """Evaluation point lies outside the problem's rectangle."""
-
-
-class NoExactSolution(Exception):
-    """An error table was requested for a problem without an exact solution."""
 
 
 class ConfigError(Exception):

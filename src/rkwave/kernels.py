@@ -1,13 +1,12 @@
 """Univariate reproducing kernels on the unit interval.
 
-Four Sobolev-type spaces are supported, identified by string ids:
+The solution space is a product of two order-3 Sobolev-type spaces on
+[0, 1], identified by string ids:
 
     R_spatial    order 3, members satisfy u(0) = u(1) = 0
     r_temporal   order 3, members satisfy u(0) = u'(0) = 0
-    Q_spatial    order 1, unconstrained
-    q_temporal   order 1, unconstrained (same kernel as Q_spatial)
 
-Each space carries an inner product
+A space (``SpaceSpec``) carries an inner product
 
     <u, g> = sum_k u^(dk)(ek) g^(dk)(ek)  +  int_0^1 u^(m) g^(m) dx
 
@@ -15,8 +14,9 @@ with a short list of boundary terms (``discrete_terms``) and an integral of
 order m.  Its reproducing kernel K(x, y) is a piecewise bivariate polynomial
 of degree 2m-1 in each variable, with distinct branches on x <= y and x > y.
 Branches are stored as dense 6x6 monomial coefficient matrices (entry [i, j]
-multiplies x^i y^j; order-1 kernels only populate the leading 2x2 block),
-which makes differentiation in either slot exact.
+multiplies x^i y^j; a kernel of order m < 3 populates only the leading
+2m x 2m block), which makes differentiation in either slot exact.
+``eval_kernel_grid`` evaluates a kernel on a grid of coordinates.
 
 Every kernel is derived, not tabulated: ``derive_kernel_oracle`` solves the
 characterizing linear system read off from integration by parts (essential
@@ -36,12 +36,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
-from .errors import DiagonalDerivativeUndefined, SingularSystem
-from .quadrature import panel_rule
+from .errors import SingularSystem
 
-SPACE_IDS = ("R_spatial", "r_temporal", "Q_spatial", "q_temporal")
+SPACE_IDS = ("R_spatial", "r_temporal")
 
 
 @dataclass(frozen=True)
@@ -83,13 +81,11 @@ class PiecewiseKernel:
 _SPECS = {
     "R_spatial": SpaceSpec(3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))),
     "r_temporal": SpaceSpec(3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0))),
-    "Q_spatial": SpaceSpec(1, (), ((0, 0),)),
-    "q_temporal": SpaceSpec(1, (), ((0, 0),)),
 }
 
 
 def space_spec(space_id: str) -> SpaceSpec:
-    """Return the SpaceSpec for one of the four supported space ids."""
+    """Return the SpaceSpec for one of the two supported space ids."""
     try:
         return _SPECS[space_id]
     except KeyError:
@@ -113,96 +109,30 @@ def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return mat[dx:, dy:] * _FALLING[dx, dx:, None] * _FALLING[dy, dy:]
 
 
-def eval_kernel(k: PiecewiseKernel, x: float, y: float, dx: int = 0, dy: int = 0) -> float:
-    """Evaluate d^dx_x d^dy_y K(x, y) analytically.
+def eval_kernel_grid(k: PiecewiseKernel, xs, ys, dx: int = 0, dy: int = 0) -> np.ndarray:
+    """The matrix d^dx_x d^dy_y K(xs[i], ys[j]) for 1-D coordinate arrays xs, ys.
 
-    Branch selection is lower for x <= y, upper for x > y.  On the diagonal
-    only total orders up to 2m-2 are continuous; higher orders raise
-    DiagonalDerivativeUndefined.
+    Entry (i, j) takes the lower branch where xs[i] <= ys[j].  Each branch
+    C gives sum_ij C[i,j] x^i y^j: Horner in x first, for every column at
+    once, then one matrix product with the powers y^j.  Horner in x keeps a
+    branch exactly zero at x = 1 where its polished column sums vanish (see
+    ``_polish_columns_at_one``).  Callers keep dx + dy <= 2m - 2 wherever
+    xs[i] == ys[j]; higher orders are discontinuous there and not checked.
     """
-    if dx < 0 or dy < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    if x == y and dx + dy > 2 * k.order - 2:
-        raise DiagonalDerivativeUndefined(
-            f"order ({dx},{dy}) kernel derivative is discontinuous at x = y = {x}"
-        )
-    branch = k.lower if x <= y else k.upper
-    return float(polyval2d(x, y, _deriv_matrix(branch, dx, dy)))
-
-
-def _branch_values(mats, x, y, dx: int, dy: int) -> list:
-    """Branch polynomials at broadcastable x, y as Vandermonde products.
-
-    Each branch C gives sum_ij C[i,j] x^i y^j: Horner in x first, for every
-    column at once, then a contraction with the powers V(y)[..., j] = y^j.
-    A column x against a row y, as for the 1-D kernel matrices of a
-    collocation grid, makes that contraction one matrix product.
-    Horner in x keeps a branch exactly zero at x = 1 where its polished
-    column sums vanish (see ``_polish_columns_at_one``).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.concatenate([_deriv_matrix(m, dx, dy) for m in mats], axis=1)
-    xe = x[..., None]
-    cx = np.empty(x.shape + c.shape[1:])
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("xs and ys must be 1-D coordinate arrays")
+    c = np.concatenate([_deriv_matrix(m, dx, dy) for m in (k.lower, k.upper)], axis=1)
+    xe = x[:, None]
+    cx = np.empty((len(x), c.shape[1]))
     cx[...] = c[-1]
     for row in c[-2::-1]:
         cx *= xe
         cx += row
-    parts = np.split(cx, len(mats), axis=-1)
-    vy = y[..., None] ** np.arange(parts[0].shape[-1])
-    if x.ndim == 2 and y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
-        return [part[:, 0] @ vy[0].T for part in parts]
-    return [np.einsum("...j,...j->...", part, vy) for part in parts]
-
-
-def eval_kernel_branch(k: PiecewiseKernel, branch: str, x, y, dx: int = 0, dy: int = 0):
-    """Evaluate one branch polynomial regardless of the position of (x, y).
-
-    Used for diagonal-continuity and jump diagnostics; no diagonal guard.
-    """
-    mat = {"lower": k.lower, "upper": k.upper}[branch]
-    return _branch_values([mat], x, y, dx, dy)[0]
-
-
-def eval_kernel_grid(k: PiecewiseKernel, x, y, dx: int = 0, dy: int = 0):
-    """Vectorized evaluation over broadcastable arrays.
-
-    Callers must keep dx + dy <= 2m - 2 wherever x == y exactly; this fast
-    path does not re-check the diagonal rule.
-    """
-    low, up = _branch_values([k.lower, k.upper], x, y, dx, dy)
-    return np.where(np.less_equal(x, y), low, up)
-
-
-def kernel_section(k: PiecewiseKernel, y: float):
-    """The section K(., y) as a callable f(x, order) with analytic derivatives."""
-
-    def section(x, order: int = 0):
-        return eval_kernel_grid(k, x, y, order, 0)
-
-    return section
-
-
-# --------------------------------------------------------------------------
-# inner product (verification quadrature; never in the solve path)
-# --------------------------------------------------------------------------
-
-def inner_product_numeric(spec: SpaceSpec, u, g, split_at=()) -> float:
-    """Numeric inner product of the space described by ``spec``.
-
-    ``u`` and ``g`` are callables f(x, order) returning the order-th
-    derivative, vectorized over x.  ``split_at`` lists interior kinks of the
-    integrand (e.g. the parameter of a kernel section) where the composite
-    Gauss-Legendre rule must break panels.
-    """
-    total = 0.0
-    for d, e in spec.discrete_terms:
-        xe = float(e)
-        total += float(u(xe, d)) * float(g(xe, d))
-    x, w = panel_rule(split_at=split_at)
-    total += float(np.dot(w, np.asarray(u(x, spec.order)) * np.asarray(g(x, spec.order))))
-    return total
+    low, up = np.split(cx, 2, axis=-1)
+    vy = y[:, None] ** np.arange(low.shape[-1])
+    return np.where(xe <= y, low @ vy.T, up @ vy.T)
 
 
 # --------------------------------------------------------------------------

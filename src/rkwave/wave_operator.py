@@ -23,6 +23,8 @@ from 1-D kernel matrices on the grid coordinates, never an N x N one.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
 one bivariate polynomial on each cell of the grid; ``series_table``
 tabulates it once so that ``SeriesTable.value`` costs the same at any N.
+Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
+inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import PiecewiseKernel, _deriv_matrix, eval_kernel, eval_kernel_grid
+from .kernels import PiecewiseKernel, _deriv_matrix, eval_kernel_grid
 
 
 @dataclass(frozen=True)
@@ -92,58 +94,8 @@ class RepresenterBasis:
     @cached_property
     def kernel_matrices(self) -> tuple[dict, dict]:
         """(R, T): R[p, q][k, l] = d^p_x d^q_y R(xis[k], xis[l]), p, q in {0, 2}; T on taus."""
-        return tuple({(p, q): eval_kernel_grid(k, c[:, None], c[None, :], p, q)
-                      for p in (0, 2) for q in (0, 2)}
-                     for k, c in ((self.space_kernel, np.array(self.xis)),
-                                  (self.time_kernel, np.array(self.taus))))
-
-
-def psi_eval(basis: RepresenterBasis, i: int, x: float, t: float, dx: int = 0) -> float:
-    """Evaluate d^dx/dx^dx Psi_i at (x, t) from analytic kernel derivatives."""
-    if dx not in (0, 1):
-        raise ValueError("dx must be 0 or 1")
-    xi, ti = basis.points[i]
-    op = basis.operator
-    return (op.alpha * eval_kernel(basis.space_kernel, x, xi, dx, 0)
-            * eval_kernel(basis.time_kernel, t, ti, 0, 2)
-            - op.gamma * eval_kernel(basis.space_kernel, x, xi, dx, 2)
-            * eval_kernel(basis.time_kernel, t, ti, 0, 0))
-
-
-def psi_section(basis: RepresenterBasis, i: int):
-    """Psi_i as a callable f(x, t, dx, dt) with mixed analytic derivatives.
-
-    Vectorized over broadcastable arrays; suitable for the 2-D verification
-    inner products.  Off the lines x = x_i, t = t_i any orders are fine; on
-    them the caller must stay within the kernels' diagonal limits.
-    """
-    xi, ti = basis.points[i]
-    op = basis.operator
-    rk = basis.space_kernel
-    tk = basis.time_kernel
-
-    def section(x, t, dx: int = 0, dt: int = 0):
-        return (op.alpha * eval_kernel_grid(rk, x, xi, dx, 0)
-                * eval_kernel_grid(tk, t, ti, dt, 2)
-                - op.gamma * eval_kernel_grid(rk, x, xi, dx, 2)
-                * eval_kernel_grid(tk, t, ti, dt, 0))
-
-    return section
-
-
-def psi_values(basis: RepresenterBasis, x, t, dx: int = 0) -> np.ndarray:
-    """Matrix of d^dx Psi_k at evaluation points: shape (npoints, nbasis).
-
-    ``x`` and ``t`` are flat arrays (or scalars) of evaluation coordinates.
-    """
-    op = basis.operator
-    xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
-    ta = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    xk, tk = basis.xs[None, :], basis.ts[None, :]
-    return (op.alpha * eval_kernel_grid(basis.space_kernel, xa, xk, dx, 0)
-            * eval_kernel_grid(basis.time_kernel, ta, tk, 0, 2)
-            - op.gamma * eval_kernel_grid(basis.space_kernel, xa, xk, dx, 2)
-            * eval_kernel_grid(basis.time_kernel, ta, tk, 0, 0))
+        return tuple({(p, q): eval_kernel_grid(k, c, c, p, q) for p in (0, 2) for q in (0, 2)}
+                     for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)))
 
 
 def _sums_below(a: np.ndarray, axis: int) -> np.ndarray:
@@ -245,22 +197,8 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     return SeriesTable(basis.xis, basis.taus, blocks, columns)
 
 
-def gram_entry(basis: RepresenterBasis, i: int, j: int) -> float:
-    """Closed-form Gram entry A_ij = <Psi_j, Psi_i>_W = (L Psi_j)(x_i, t_i)."""
-    op = basis.operator
-    xi, ti = basis.points[i]
-    xj, tj = basis.points[j]
-    rk = basis.space_kernel
-    tk = basis.time_kernel
-    a, g = op.alpha, op.gamma
-    return (a * a * eval_kernel(rk, xi, xj, 0, 0) * eval_kernel(tk, ti, tj, 2, 2)
-            - a * g * eval_kernel(rk, xi, xj, 2, 0) * eval_kernel(tk, ti, tj, 0, 2)
-            - a * g * eval_kernel(rk, xi, xj, 0, 2) * eval_kernel(tk, ti, tj, 2, 0)
-            + g * g * eval_kernel(rk, xi, xj, 2, 2) * eval_kernel(tk, ti, tj, 0, 0))
-
-
 def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
-    """Full Gram matrix: each term of ``gram_entry`` is a Kronecker product on the grid,
+    """The Gram matrix A_ij = (L Psi_j)(x_i, t_i), each term a Kronecker product on the grid,
 
         A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
     """
@@ -272,7 +210,7 @@ def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
 
 
 def collocation_values(basis: RepresenterBasis, weights) -> np.ndarray:
-    """sum_k weights[k] Psi_k at the collocation points, psi_values(basis, xs, ts) @ weights.
+    """sum_k weights[k] Psi_k at the collocation points, in the order of ``basis.points``.
 
     With the weights as an nt x nx matrix C that is a T02 C R00^T - g T00 C R02^T.
     """
@@ -280,16 +218,3 @@ def collocation_values(basis: RepresenterBasis, weights) -> np.ndarray:
     op = basis.operator
     c = np.reshape(weights, (len(basis.taus), len(basis.xis)))
     return (op.alpha * t[0, 2] @ c @ r[0, 0].T - op.gamma * t[0, 0] @ c @ r[0, 2].T).ravel()
-
-
-def apply_L_numeric(op: WaveOperator, f, x: float, t: float, h: float) -> float:
-    """Central second-difference application of L to a bivariate function.
-
-    Consistency check for tests: O(h^2) accurate for C^4 integrands.  The
-    caller keeps (x, t) at least 2h away from the boundary of f's domain.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    dtt = (f(x, t + h) - 2.0 * f(x, t) + f(x, t - h)) / (h * h)
-    dxx = (f(x + h, t) - 2.0 * f(x, t) + f(x - h, t)) / (h * h)
-    return op.alpha * dtt - op.gamma * dxx

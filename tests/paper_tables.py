@@ -12,7 +12,9 @@ from fractions import Fraction as F
 import numpy as np
 
 from rkwave import kernels
-from rkwave.kernels import PiecewiseKernel, space_spec
+from rkwave.kernels import PiecewiseKernel
+
+from oracles import spec_of
 
 
 def _matrix(rows: dict) -> list:
@@ -71,13 +73,13 @@ def table_kernel(space_id: str) -> PiecewiseKernel:
             branches[branch][i][j] = correct
     return PiecewiseKernel(np.array(branches["lower"], dtype=float),
                            np.array(branches["upper"], dtype=float),
-                           space_spec(space_id).order)
+                           spec_of(space_id).order)
 
 
 def printed_vs_exact(space_id: str) -> list:
     """(branch, i, j, printed, derived) for every printed entry that differs
     from the package's exact derivation."""
-    c = kernels._exact_coefficients(space_spec(space_id))
+    c = kernels._exact_coefficients(spec_of(space_id))
     n = len(c)
     derived_lower = [[c[i][j] if i < n and j < n else F(0) for j in range(6)] for i in range(6)]
     derived = {"lower": derived_lower, "upper": _transpose(derived_lower)}

@@ -19,26 +19,23 @@ import math
 import numpy as np
 import pytest
 
-from rkwave import cli, kernels, problems, solver
-from rkwave.kernels import (
-    closed_form_kernel,
-    eval_kernel_grid,
-    inner_product_numeric,
-    kernel_section,
-    space_spec,
-)
+from rkwave import cli, solver
+from rkwave.kernels import closed_form_kernel, eval_kernel_grid
 from rkwave.orthonormalize import factor
-from rkwave.tensor_space import inner_product_numeric_2d, kernel_w, kernel_w_hat, tensor_section
-from rkwave.wave_operator import (
-    RepresenterBasis,
-    WaveOperator,
-    apply_L_numeric,
-    gram_matrix,
-    psi_eval,
-    psi_section,
-)
+from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix
 
 from conftest import Separable, poly, sinusoid
+from oracles import (
+    SPACE_IDS,
+    apply_L,
+    inner_product,
+    inner_product_2d,
+    kernel_of,
+    psi_section,
+    section,
+    spec_of,
+    tensor_section,
+)
 from paper_tables import MISPRINTS, printed_vs_exact, table_kernel
 
 MEMBERS_1D = {
@@ -83,21 +80,21 @@ def basis_for_grid(n):
 def test_criterion_01_kernel_oracle_equivalence():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for sid in kernels.SPACE_IDS:
-        k = closed_form_kernel(sid)
+    for sid in SPACE_IDS:
+        k = kernel_of(sid)
         table = table_kernel(sid)
         xs, ys = rng.random(100), rng.random(100)
         worst = max(worst, float(np.max(np.abs(
             eval_kernel_grid(k, xs, ys) - eval_kernel_grid(table, xs, ys)))))
     # derived R passes the reproducing-property test on its own
     derived_r = closed_form_kernel("R_spatial")
-    spec = space_spec("R_spatial")
+    spec = spec_of("R_spatial")
     resid = 0.0
     for u in MEMBERS_1D["R_spatial"]:
         for y in np.linspace(0.05, 0.95, 10):
-            got = inner_product_numeric(spec, u, kernel_section(derived_r, y), split_at=(y,))
+            got = inner_product(spec, u, section(derived_r, y), split_at=(y,))
             resid = max(resid, abs(got - float(u(y))))
-    diffs = [(sid,) + d for sid in kernels.SPACE_IDS for d in printed_vs_exact(sid)]
+    diffs = [(sid,) + d for sid in SPACE_IDS for d in printed_vs_exact(sid)]
     print("printed coefficient tables against the exact derivation:")
     for sid, branch, i, j, printed, derived in diffs:
         print(f"  {sid} {branch}[{i}][{j}]: printed {printed} -> derived {derived}")
@@ -109,12 +106,12 @@ def test_criterion_01_kernel_oracle_equivalence():
 
 def test_criterion_02_reproducing_property_1d():
     worst = 0.0
-    for sid in kernels.SPACE_IDS:
-        spec = space_spec(sid)
-        k = closed_form_kernel(sid)
+    for sid in SPACE_IDS:
+        spec = spec_of(sid)
+        k = kernel_of(sid)
         for u in MEMBERS_1D[sid]:
             for y in np.linspace(0.03, 0.97, 20):
-                got = inner_product_numeric(spec, u, kernel_section(k, y), split_at=(y,))
+                got = inner_product(spec, u, section(k, y), split_at=(y,))
                 worst = max(worst, abs(got - float(u(y))))
     gate("02", worst <= 1e-8, "1-D reproducing property, 4 spaces x 3 functions x 20 points",
          f"max residual {worst:.2e}")
@@ -122,18 +119,16 @@ def test_criterion_02_reproducing_property_1d():
 
 def test_criterion_03_reproducing_property_2d():
     worst_w = 0.0
-    K = kernel_w()
     for u in MEMBERS_W:
         for (y, s) in [(0.5, 0.5), (0.3, 0.8), (0.85, 0.25)]:
-            got = inner_product_numeric_2d("W", u, tensor_section(K, (y, s)),
-                                           split_x=(y,), split_t=(s,))
+            got = inner_product_2d("W", u, tensor_section("W", (y, s)),
+                                   split_x=(y,), split_t=(s,))
             worst_w = max(worst_w, abs(got - float(u(y, s))))
     worst_wh = 0.0
-    G = kernel_w_hat()
     for u in MEMBERS_W_HAT:
         for (y, s) in [(0.4, 0.9), (0.7, 0.2), (0.15, 0.55)]:
-            got = inner_product_numeric_2d("W_hat", u, tensor_section(G, (y, s)),
-                                           split_x=(y,), split_t=(s,))
+            got = inner_product_2d("W_hat", u, tensor_section("W_hat", (y, s)),
+                                   split_x=(y,), split_t=(s,))
             worst_wh = max(worst_wh, abs(got - float(u(y, s))))
     gate("03", worst_w <= 1e-6 and worst_wh <= 1e-6,
          "2-D reproducing property, 3 functions in W and 2 in W_hat",
@@ -148,16 +143,14 @@ def test_criterion_04_gram_correctness():
     pts = basis3.points
     for i in range(9):
         for j in range(i, 9):
-            q = inner_product_numeric_2d(
+            q = inner_product_2d(
                 "W", psi_section(basis3, j), psi_section(basis3, i),
                 split_x=(pts[i][0], pts[j][0]), split_t=(pts[i][1], pts[j][1]))
             quad_worst = max(quad_worst, abs(q - a3[i, j]))
     # (b) finite differences at h = 1e-3
     fd_worst = 0.0
     for (i, j) in [(0, 0), (0, 4), (2, 7), (5, 5), (1, 8)]:
-        fd = apply_L_numeric(basis3.operator,
-                             lambda x, t: psi_eval(basis3, j, x, t),
-                             *pts[i], 1e-3)
+        fd = apply_L(basis3.operator, psi_section(basis3, j), *pts[i], 1e-3)
         fd_worst = max(fd_worst, abs(fd - a3[i, j]))
     # SPD up to 12x12; orthonormalization reconstruction on the working grid
     spd_ok = True

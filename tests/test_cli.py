@@ -72,10 +72,12 @@ def test_expression_constants_must_be_numbers():
 
 def test_power_tower_overflows_instead_of_hanging(tmp_path):
     # integer constants would make 9**9**9 a 369-million-digit integer; the
-    # subprocess and its timeout keep a regression from hanging the suite
+    # subprocess and its timeout keep a regression from hanging the suite.
+    # The tower sits in f_d2, which the corner checks do not read (NaN
+    # corner data is rejected, see test_nan_corner_data_exits_2)
     body = (
         "problem = custom\na = 0\nb = 1\nT = 1\n"
-        "f = 9**9**9\nf_d1 = 0\nf_d2 = 0\n"
+        "f = 0\nf_d1 = 0\nf_d2 = 9**9**9\n"
         "g = 0\ng_d1 = 0\ng_d2 = 0\n"
         "h1 = 0\nh1_d1 = 0\nh1_d2 = 0\n"
         "h2 = 0\nh2_d1 = 0\nh2_d2 = 0\n")
@@ -87,7 +89,22 @@ def test_power_tower_overflows_instead_of_hanging(tmp_path):
                          env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True,
                          timeout=8)
     assert out.returncode == 0, out.stderr
-    assert "f = 9**9**9" in out.stdout
+    assert "f_d2 = 9**9**9" in out.stdout
+
+
+def test_nan_corner_data_exits_2(tmp_path, capsys):
+    # f = 9**9**9 evaluates to NaN at both corners, which no data can match
+    out = tmp_path / "nan.csv"
+    body = (
+        "problem = custom\na = 0\nb = 1\nT = 1\n"
+        "f = 9**9**9\nf_d1 = 0\nf_d2 = 0\n"
+        "g = 0\ng_d1 = 0\ng_d2 = 0\n"
+        "h1 = 0\nh1_d1 = 0\nh1_d2 = 0\n"
+        "h2 = 0\nh2_d1 = 0\nh2_d2 = 0\n"
+        f"exact = 0\nnx = 2\nnt = 2\nout = {out}\n")
+    assert cli.main([str(write(tmp_path, body))]) == 2
+    assert "corner compatibility h1(0) = f(a) fails: 0.0 vs nan" in capsys.readouterr().err
+    assert list(tmp_path.glob("nan*")) == []
 
 
 def test_malformed_config_exits_2_without_output(tmp_path):

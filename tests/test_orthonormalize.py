@@ -11,8 +11,9 @@ from rkwave.orthonormalize import (
     solve_lower_t,
 )
 from rkwave.solver import generate_collocation
-from rkwave.tensor_space import inner_product_numeric_2d
-from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix, psi_section
+from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix
+
+from oracles import inner_product_2d, psi_section
 
 
 def orthonormalizer(bf):
@@ -149,7 +150,7 @@ def test_orthonormality_transfer_quadrature():
     pts = basis.points
     for i in range(n):
         for j in range(i, n):
-            q = inner_product_numeric_2d(
+            q = inner_product_2d(
                 "W", psi_section(basis, j), psi_section(basis, i),
                 split_x=(pts[i][0], pts[j][0]), split_t=(pts[i][1], pts[j][1]))
             a_quad[i, j] = a_quad[j, i] = q

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rkwave import problems, solver
-from rkwave.errors import DegenerateDomain, IncompatibleCorners, NoExactSolution
+from rkwave.errors import DegenerateDomain, IncompatibleCorners
 from rkwave.problems import (
     Curve,
+    ErrorReport,
+    ErrorRow,
     ProblemSpec,
     Rectangle,
     builtin,
@@ -14,7 +16,9 @@ from rkwave.problems import (
     error_table,
     homogenize,
 )
-from rkwave.wave_operator import WaveOperator, apply_L_numeric
+from rkwave.wave_operator import WaveOperator
+
+from oracles import apply_L
 
 
 def test_canonicalize_examples():
@@ -70,7 +74,7 @@ def test_ex52_exact_solves_the_pde():
     worst = 0.0
     for x in np.linspace(-0.9, 0.9, 10):
         for t in np.linspace(0.05, 0.95, 10):
-            resid = (apply_L_numeric(op, p.exact, float(x), float(t), 1e-4)
+            resid = (apply_L(op, p.exact, float(x), float(t), 1e-4)
                      + math.sin(p.exact(float(x), float(t))))
             worst = max(worst, abs(resid))
     assert worst < 1e-6
@@ -87,6 +91,16 @@ def test_corner_compatibility_enforced():
                     f=Curve.zero(),
                     g=Curve(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0),
                     h1=Curve.zero(), h2=Curve.zero())
+
+
+def test_nan_corner_data_is_incompatible():
+    # NaN compares false with everything, so the check must not pass it
+    nan = Curve(lambda v: math.nan, lambda v: 0.0, lambda v: 0.0)
+    for data in (dict(f=nan), dict(h1=nan), dict(h2=Curve(lambda v: 0.0, lambda v: math.nan,
+                                                          lambda v: 0.0))):
+        spec = dict(f=Curve.zero(), g=Curve.zero(), h1=Curve.zero(), h2=Curve.zero()) | data
+        with pytest.raises(IncompatibleCorners):
+            ProblemSpec(domain=Rectangle(0.0, 1.0, 1.0), **spec)
 
 
 def test_homogenize_ex51():
@@ -186,10 +200,25 @@ def test_error_table_zero_exact_conventions(ex51_hp):
     assert report.rows[1].rel_err == 0.0
 
 
-def test_error_table_requires_exact():
+def test_error_table_without_exact_has_nan_rows():
     p = ProblemSpec(domain=Rectangle(0.0, 1.0, 1.0),
-                    f=Curve.zero(), g=Curve.zero(), h1=Curve.zero(), h2=Curve.zero())
+                    f=Curve.zero(), g=Curve.zero(), h1=Curve.zero(), h2=Curve.zero(),
+                    source=lambda x, t: 1.0)
     hp = homogenize(p)
     sol = solver.solve(hp, solver.generate_collocation(2, 2))
-    with pytest.raises(NoExactSolution):
-        error_table(sol, [(0.5, 0.5)])
+    report = error_table(sol, [(0.5, 0.5), (0.25, 1.0)])
+    for row, (x, t) in zip(report.rows, [(0.5, 0.5), (0.25, 1.0)]):
+        assert (row.x, row.t, row.approx) == (x, t, solver.evaluate(sol, x, t))
+        assert row.approx != 0.0 and row.seconds >= 0.0
+        assert math.isnan(row.exact) and math.isnan(row.abs_err) and math.isnan(row.rel_err)
+    assert math.isnan(report.max_abs_error)
+
+
+def test_max_abs_error_is_nan_if_any_row_is():
+    def row(err):
+        return ErrorRow(0.5, 0.5, 1.0, 1.0 + err, err, err, 0.0)
+
+    for errs in ((1.0, math.nan), (math.nan, 1.0), (0.5, math.nan, 2.0)):
+        assert math.isnan(ErrorReport(tuple(row(e) for e in errs)).max_abs_error)
+    assert ErrorReport((row(0.5), row(2.0), row(1.0))).max_abs_error == 2.0
+    assert ErrorReport(()).max_abs_error == 0.0

@@ -1,17 +1,18 @@
+"""The product kernels of W and W_hat, and the 2-D quadrature inner products.
+
+The solve never evaluates a product kernel: it uses that the W kernel is
+R(x, y) r(t, s), through Kronecker products of 1-D kernel matrices.  These
+tests check that factorization and the 2-D references the Gram and
+orthonormality checks are built on.
+"""
+
 import numpy as np
 import pytest
 
-from rkwave.errors import DiagonalDerivativeUndefined
-from rkwave.kernels import eval_kernel
-from rkwave.tensor_space import (
-    eval_tensor,
-    inner_product_numeric_2d,
-    kernel_w,
-    kernel_w_hat,
-    tensor_section,
-)
+from rkwave.kernels import closed_form_kernel, eval_kernel_grid
 
 from conftest import Separable, poly, sinusoid
+from oracles import DiagonalDerivativeUndefined, inner_product_2d, tensor_section
 
 # test functions in W: separable sums, each factor satisfying the factor
 # space's constraints (x: f(0)=f(1)=0; t: g(0)=g'(0)=0)
@@ -27,81 +28,73 @@ W_HAT_MEMBERS = [
 
 
 def test_factorization_is_exact_product():
-    K = kernel_w()
+    # the W kernel at random point pairs against the product of the
+    # package's 1-D kernel matrices, the factorization the Gram assembly uses
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        x, t, y, s = rng.random(4)
-        lhs = eval_tensor(K, (x, t), (y, s))
-        rhs = eval_kernel(K.space_factor, x, y) * eval_kernel(K.time_factor, t, s)
-        assert lhs == rhs
+    x, t, y, s = rng.random((4, 20))
+    space = eval_kernel_grid(closed_form_kernel("R_spatial"), x, y)
+    time = eval_kernel_grid(closed_form_kernel("r_temporal"), t, s)
+    for i in range(20):
+        for j in range(20):
+            want = tensor_section("W", (y[j], s[j]))(x[i], t[i])
+            assert abs(space[i, j] * time[i, j] - want) <= 1e-15
 
 
 def test_vanishes_on_dead_edges():
-    K = kernel_w()
-    assert eval_tensor(K, (0.0, 0.4), (0.3, 0.7)) == 0.0
-    assert eval_tensor(K, (0.3, 0.0), (0.3, 0.7)) == 0.0
-    assert abs(eval_tensor(K, (1.0, 0.4), (0.3, 0.7))) < 1e-15
+    K = tensor_section("W", (0.3, 0.7))
+    assert K(0.0, 0.4) == 0.0
+    assert K(0.3, 0.0) == 0.0
+    assert abs(K(1.0, 0.4)) < 1e-15
 
 
 def test_argument_parameter_symmetry():
-    K = kernel_w()
-    a = eval_tensor(K, (0.2, 0.7), (0.6, 0.1))
-    b = eval_tensor(K, (0.6, 0.1), (0.2, 0.7))
-    assert abs(a - b) < 1e-12
-    G = kernel_w_hat()
-    a = eval_tensor(G, (0.25, 0.9), (0.8, 0.35))
-    b = eval_tensor(G, (0.8, 0.35), (0.25, 0.9))
-    assert abs(a - b) < 1e-12
+    for space, p, q in (("W", (0.2, 0.7), (0.6, 0.1)), ("W_hat", (0.25, 0.9), (0.8, 0.35))):
+        assert abs(tensor_section(space, q)(*p) - tensor_section(space, p)(*q)) < 1e-12
 
 
 def test_diagonal_guard_propagates():
-    K = kernel_w()
     with pytest.raises(DiagonalDerivativeUndefined):
-        eval_tensor(K, (0.5, 0.3), (0.5, 0.8), orders=(3, 0, 2, 0))
+        tensor_section("W", (0.5, 0.8))(0.5, 0.3, 5, 0)
 
 
 def test_reproducing_property_w():
-    K = kernel_w()
     params = [(0.5, 0.5), (0.3, 0.8), (0.85, 0.25)]
     for u in W_MEMBERS:
         for (y, s) in params:
-            got = inner_product_numeric_2d("W", u, tensor_section(K, (y, s)),
-                                           split_x=(y,), split_t=(s,))
+            got = inner_product_2d("W", u, tensor_section("W", (y, s)),
+                                   split_x=(y,), split_t=(s,))
             assert abs(got - float(u(y, s))) < 1e-6, (y, s)
 
 
 def test_reproducing_property_w_example_value():
-    K = kernel_w()
     u = Separable((poly(0, 1, -1), poly(0, 0, 1)))
-    got = inner_product_numeric_2d("W", u, tensor_section(K, (0.5, 0.5)),
-                                   split_x=(0.5,), split_t=(0.5,))
+    got = inner_product_2d("W", u, tensor_section("W", (0.5, 0.5)),
+                           split_x=(0.5,), split_t=(0.5,))
     assert got == pytest.approx(0.0625, abs=1e-10)
 
 
 def test_reproducing_property_w_hat():
-    G = kernel_w_hat()
     for u in W_HAT_MEMBERS:
         for (y, s) in [(0.4, 0.9), (0.7, 0.2)]:
-            got = inner_product_numeric_2d("W_hat", u, tensor_section(G, (y, s)),
-                                           split_x=(y,), split_t=(s,))
+            got = inner_product_2d("W_hat", u, tensor_section("W_hat", (y, s)),
+                                   split_x=(y,), split_t=(s,))
             assert abs(got - float(u(y, s))) < 1e-6
 
 
 def test_reproducing_property_w_hat_example_value():
-    G = kernel_w_hat()
     u = Separable((poly(0, 1), poly(0, 1)))
-    got = inner_product_numeric_2d("W_hat", u, tensor_section(G, (0.4, 0.9)),
-                                   split_x=(0.4,), split_t=(0.9,))
+    got = inner_product_2d("W_hat", u, tensor_section("W_hat", (0.4, 0.9)),
+                           split_x=(0.4,), split_t=(0.9,))
     assert got == pytest.approx(0.36, abs=1e-10)
 
 
 def test_zero_function():
     zero = Separable()
-    K = kernel_w()
-    assert inner_product_numeric_2d("W", zero, tensor_section(K, (0.4, 0.6))) == 0.0
+    assert inner_product_2d("W", zero, tensor_section("W", (0.4, 0.6))) == 0.0
 
 
 def test_unknown_space_rejected():
     zero = Separable()
-    with pytest.raises(ValueError):
-        inner_product_numeric_2d("V", zero, zero)
+    for call in (lambda: inner_product_2d("V", zero, zero), lambda: tensor_section("V", (0, 0))):
+        with pytest.raises(ValueError):
+            call()

@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from rkwave.kernels import closed_form_kernel
-from rkwave.tensor_space import inner_product_numeric_2d, kernel_w, tensor_section
 from rkwave.wave_operator import (
     RepresenterBasis,
     WaveOperator,
-    apply_L_numeric,
     collocation_values,
-    gram_entry,
     gram_matrix,
-    psi_eval,
-    psi_section,
-    psi_values,
     series_table,
+)
+
+from oracles import (
+    apply_L,
+    gram_entry,
+    inner_product_2d,
+    kernel_of,
+    psi_rows,
+    psi_section,
+    tensor_section,
 )
 
 # The table sums the same terms as a kernel row in another order, so it may
@@ -47,7 +51,7 @@ def test_operator_validation():
 
 def test_basis_requires_order3_kernels():
     with pytest.raises(ValueError):
-        RepresenterBasis(WaveOperator(), closed_form_kernel("Q_spatial"),
+        RepresenterBasis(WaveOperator(), kernel_of("Q_spatial"),
                          closed_form_kernel("r_temporal"), (0.5,), (0.5,))
 
 
@@ -67,10 +71,10 @@ def test_psi_vanishes_on_dead_edges():
     basis = make_basis(3, 3)
     ss = np.linspace(0.0, 1.0, 101)
     for i in (0, 4, 8):
-        for s in ss:
-            assert abs(psi_eval(basis, i, 0.0, s)) < 1e-12
-            assert abs(psi_eval(basis, i, 1.0, s)) < 1e-12
-            assert abs(psi_eval(basis, i, s, 0.0)) < 1e-12
+        psi = psi_section(basis, i)
+        assert np.max(np.abs(psi(0.0, ss))) < 1e-12
+        assert np.max(np.abs(psi(1.0, ss))) < 1e-12
+        assert np.max(np.abs(psi(ss, 0.0))) < 1e-12
     # time derivative at t = 0 vanishes as well
     sec = psi_section(basis, 4)
     assert np.max(np.abs(sec(ss, 0.0, 0, 1))) < 1e-12
@@ -80,16 +84,14 @@ def test_origin_representer_is_zero():
     basis = grid_basis((0.0, 0.5), (0.0, 0.5))  # point 0 is the origin
     assert gram_entry(basis, 0, 0) == 0.0
     xs = np.linspace(0, 1, 11)
-    for x in xs:
-        for t in xs:
-            assert psi_eval(basis, 0, float(x), float(t)) == 0.0
+    assert np.all(psi_section(basis, 0)(xs[:, None], xs[None, :]) == 0.0)
 
 
 def test_gram_symmetry_5x5():
     basis = make_basis(5, 5)
     A = gram_matrix(basis)
     assert np.max(np.abs(A - A.T)) < 1e-12
-    # scalar path agrees with vectorized assembly
+    # the pointwise reference agrees with the Kronecker assembly
     assert gram_entry(basis, 3, 17) == pytest.approx(A[3, 17], abs=1e-14)
 
 
@@ -99,7 +101,7 @@ def test_gram_matches_quadrature_3x3():
     pts = basis.points
     for i in range(9):
         for j in range(i, 9):
-            q = inner_product_numeric_2d(
+            q = inner_product_2d(
                 "W", psi_section(basis, j), psi_section(basis, i),
                 split_x=(pts[i][0], pts[j][0]), split_t=(pts[i][1], pts[j][1]))
             assert abs(q - A[i, j]) < 1e-6, (i, j)
@@ -108,13 +110,11 @@ def test_gram_matches_quadrature_3x3():
 def test_psi_self_reproduction():
     # Psi_i is itself in W, so <Psi_i, K_(p_i)> must reproduce its value
     basis = make_basis(3, 3)
-    K = kernel_w()
     for i in (0, 4, 7):
         x, t = basis.points[i]
-        got = inner_product_numeric_2d("W", psi_section(basis, i),
-                                       tensor_section(K, (x, t)),
-                                       split_x=(x,), split_t=(t,))
-        assert abs(got - psi_eval(basis, i, x, t)) < 1e-6
+        got = inner_product_2d("W", psi_section(basis, i), tensor_section("W", (x, t)),
+                               split_x=(x,), split_t=(t,))
+        assert abs(got - psi_section(basis, i)(x, t)) < 1e-6
 
 
 def test_gram_matches_finite_differences():
@@ -122,8 +122,8 @@ def test_gram_matches_finite_differences():
     op = basis.operator
 
     def run(h, i, j):
-        f = lambda x, t: psi_eval(basis, j, x, t)
-        return abs(apply_L_numeric(op, f, *basis.points[i], h) - gram_entry(basis, i, j))
+        fd = apply_L(op, psi_section(basis, j), *basis.points[i], h)
+        return abs(fd - gram_entry(basis, i, j))
 
     for (i, j) in [(0, 4), (2, 4), (5, 5), (1, 8)]:
         assert run(1e-3, i, j) < 1e-4
@@ -135,15 +135,15 @@ def test_gram_matches_finite_differences():
 def test_apply_L_numeric_polynomial_exactness():
     op = WaveOperator()
     f = lambda x, t: x * x + t * t
-    assert apply_L_numeric(op, f, 0.4, 0.5, 1e-3) == pytest.approx(0.0, abs=1e-9)
+    assert apply_L(op, f, 0.4, 0.5, 1e-3) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        apply_L_numeric(op, f, 0.4, 0.5, 0.0)
+        apply_L(op, f, 0.4, 0.5, 0.0)
 
 
 def test_apply_L_numeric_annihilates_dalembert():
     op = WaveOperator()
     f = lambda x, t: np.sin(np.pi * x) * np.cos(np.pi * t)
-    assert abs(apply_L_numeric(op, f, 0.3, 0.6, 1e-3)) < 1e-5
+    assert abs(apply_L(op, f, 0.3, 0.6, 1e-3)) < 1e-5
 
 
 def test_linearity_in_coefficients():
@@ -151,7 +151,8 @@ def test_linearity_in_coefficients():
     scaled = make_basis(3, 3, alpha=2.5, gamma=2.5)
     x, t = 0.37, 0.61
     for i in (0, 5):
-        assert psi_eval(scaled, i, x, t) == pytest.approx(2.5 * psi_eval(base, i, x, t), rel=1e-12)
+        assert psi_section(scaled, i)(x, t) == pytest.approx(2.5 * psi_section(base, i)(x, t),
+                                                             rel=1e-12)
     A, As = gram_matrix(base), gram_matrix(scaled)
     assert np.allclose(As, 2.5 ** 2 * A, rtol=1e-12, atol=1e-14)
 
@@ -171,7 +172,7 @@ def test_collocation_values_match_the_representer_matrix():
     rng = np.random.default_rng(22)
     for nx, nt in ((5, 4), (3, 7)):
         basis = random_grid(nx, nt, rng, alpha=0.35, gamma=2.7)
-        psi = psi_values(basis, basis.xs, basis.ts)
+        psi = psi_rows(basis, basis.xs, basis.ts)
         c = rng.normal(size=len(basis)) * 10.0 ** rng.integers(-2, 4, len(basis))
         scale = np.abs(psi) @ np.abs(c)
         assert np.all(np.abs(collocation_values(basis, c) - psi @ c) <= TABLE_RTOL * scale)
@@ -183,35 +184,13 @@ def test_gram_positive_definite(n):
     assert np.min(np.linalg.eigvalsh(A)) > 0.0
 
 
-def test_psi_values_matches_psi_eval():
-    basis = make_basis(4, 3)
-    xs = np.array([0.11, 0.52, 0.93])
-    ts = np.array([0.21, 0.47, 0.88])
-    mat = psi_values(basis, xs, ts)
-    for p in range(3):
-        for k in range(len(basis)):
-            assert mat[p, k] == pytest.approx(
-                psi_eval(basis, k, float(xs[p]), float(ts[p])), abs=1e-14)
-    dmat = psi_values(basis, xs, ts, dx=1)
-    for p in range(3):
-        for k in range(len(basis)):
-            assert dmat[p, k] == pytest.approx(
-                psi_eval(basis, k, float(xs[p]), float(ts[p]), dx=1), abs=1e-13)
-
-
-def test_psi_eval_rejects_higher_dx():
-    basis = make_basis(2, 2)
-    with pytest.raises(ValueError):
-        psi_eval(basis, 0, 0.5, 0.5, dx=2)
-
-
 def assert_table_matches_rows(basis, weights, xi, tau):
-    """series_table(...).value against the kernel-row oracle psi_values @ weights."""
+    """series_table(...).value against the representer rows of the Psi oracle."""
     table = series_table(basis, weights)
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
     for dx in (0, 1):
-        rows = psi_values(basis, xi, tau, dx)
+        rows = psi_rows(basis, xi, tau, dx)
         values = [table.value(float(x), float(t), dx) for x, t in zip(xi, tau)]
         assert all(type(v) is float for v in values)
         got = np.array(values)
