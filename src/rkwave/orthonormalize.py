@@ -6,11 +6,15 @@ Gram matrix A = L L^T (Cholesky), beta = L^{-1} produces the same
 orthonormal system as sequential Gram-Schmidt, up to rounding, and
 satisfies beta A beta^T = I.  beta is never formed: every use of it is a
 triangular solve against L, done here by blocked substitution in O(N^2)
-per right-hand side.
+per right-hand side: LAPACK solves each diagonal block, and the coupling
+to the blocks already solved is one BLAS product.
 
-L comes from LAPACK in double precision.  A pivot failure reports *which*
-leading minor broke: for collocation Gram matrices that index points at
-the first degenerate collocation point.
+L comes from LAPACK in double precision and is the only O(N^3) step.  The
+condition number of A is estimated from a few solves against L (Hager's
+1-norm estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's dlacn2), so
+it costs O(N^2) as well.  A pivot failure reports *which* leading minor
+broke: for collocation Gram matrices that index points at the first
+degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -26,14 +30,25 @@ from .errors import NotPositiveDefinite
 # input and a patched factor would corrupt every downstream diagnostic.
 PIVOT_RTOL = 1e-12
 
-# Unknowns per block of the triangular solves: the coupling to blocks
-# already solved is one matrix product, the rest is row substitution.
-SOLVE_BLOCK = 64
+# Rows per diagonal block of the triangular solves.  Each block is one
+# small LAPACK solve; everything off the diagonal blocks is BLAS products.
+SOLVE_BLOCK = 32
+
+# Rows and columns of the tile pairs compared by the symmetry check, which
+# then needs no N x N temporary.
+SYMMETRY_TILE = 128
+
+# Iterations of the 1-norm estimate, counting the first, as in dlacn2.
+ESTIMATE_ITERATIONS = 5
 
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag."""
+    """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag.
+
+    ``condition_estimate`` is ||A||_1 times an estimate of ||A^{-1}||_1: a
+    lower bound on cond_1(A) that is usually exact.
+    """
 
     L: np.ndarray
     condition_estimate: float
@@ -48,8 +63,18 @@ def _check_symmetric(gram: np.ndarray) -> np.ndarray:
     a = np.asarray(gram, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("gram matrix must be square with n >= 1")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+    n, t = a.shape[0], SYMMETRY_TILE
+    scale = skew = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
+            peaks = float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))
+            # a NaN or inf entry makes its tile's peak NaN or inf
+            if not np.all(np.isfinite(peaks)):
+                raise ValueError("gram matrix must be finite")
+            scale = max(scale, *peaks)
+            skew = max(skew, float(np.max(np.abs(upper - lower.T))))
+    if not skew <= 1e-10 * max(1.0, scale):
         raise ValueError("gram matrix must be symmetric")
     return a
 
@@ -84,21 +109,56 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _condition(a: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(a)
-    return float(lam[-1] / lam[0]) if lam[0] > 0.0 else float("inf")
+def _inverse_norm1(low: np.ndarray) -> float:
+    """A lower bound on ||A^{-1}||_1 for A = L L^T, usually equal to it (dlacn2).
+
+    Each candidate is ||A^{-1} x||_1 / ||x||_1 for some x, so none exceeds
+    ||A^{-1}||_1.  Hager's ascent starts from x = (1/n, ..., 1/n) and
+    moves to the unit vector e_j at the largest entry of the gradient
+    A^{-1} sign(A^{-1} x) (A^{-1} is symmetric), until the sign vector
+    repeats, the estimate stops growing, the same entry leads again or
+    ESTIMATE_ITERATIONS is reached.  Higham's alternating vector then
+    guards against an ascent that stalled in a local maximum.
+    """
+    n = low.shape[0]
+
+    def inv(v):
+        return solve_lower_t(low, solve_lower(low, v))
+
+    y = inv(np.full(n, 1.0 / n))
+    if n == 1:
+        return float(abs(y[0]))
+    est = float(np.sum(np.abs(y)))
+    signs = np.where(y >= 0.0, 1.0, -1.0)
+    z = inv(signs)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(ESTIMATE_ITERATIONS - 1):
+        y = inv(np.eye(1, n, j)[0])
+        est, previous = float(np.sum(np.abs(y))), est
+        new_signs = np.where(y >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= previous:
+            break
+        signs = new_signs
+        z = inv(signs)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    return max(est, 2.0 * float(np.sum(np.abs(inv(alternating)))) / (3 * n))
 
 
 def factor(gram) -> GramFactor:
     """Cholesky factor of a symmetric positive definite Gram matrix.
 
-    Computes A = L L^T with LAPACK and returns L together with cond_2(A)
-    from the extreme eigenvalues.  Raises NotPositiveDefinite(k) when the
-    k-th pivot is not above PIVOT_RTOL times the largest diagonal entry,
-    and ValueError for non-symmetric input.
+    Computes A = L L^T with LAPACK and returns L together with an O(N^2)
+    estimate of cond_1(A) from solves against L (see GramFactor).  Raises
+    NotPositiveDefinite(k) when the k-th pivot is not above PIVOT_RTOL
+    times the largest diagonal entry, and ValueError for input that is not
+    square, symmetric and finite.
     """
     a = _check_symmetric(gram)
-    return GramFactor(_cholesky(a), _condition(a))
+    low = _cholesky(a)
+    return GramFactor(low, float(np.linalg.norm(a, 1)) * _inverse_norm1(low))
 
 
 def solve_lower(low: np.ndarray, rhs) -> np.ndarray:
@@ -112,11 +172,16 @@ def solve_lower(low: np.ndarray, rhs) -> np.ndarray:
     for k in range(0, n, SOLVE_BLOCK):
         e = min(k + SOLVE_BLOCK, n)
         x[k:e] -= low[k:e, :k] @ x[:k]
-        for i in range(k, e):
-            x[i] = (x[i] - low[i, k:i] @ x[k:i]) / low[i, i]
+        x[k:e] = np.linalg.solve(low[k:e, k:e], x[k:e])
     return x
 
 
 def solve_lower_t(low: np.ndarray, rhs) -> np.ndarray:
-    """x with L^T x = rhs: reversing rows and columns of L^T makes it lower triangular."""
-    return solve_lower(low[::-1, ::-1].T, np.asarray(rhs)[::-1])[::-1]
+    """x with L^T x = rhs for lower-triangular L, by blocked back substitution."""
+    x = np.array(rhs, dtype=float)
+    n = low.shape[0]
+    for k in reversed(range(0, n, SOLVE_BLOCK)):
+        e = min(k + SOLVE_BLOCK, n)
+        x[k:e] -= low[e:, k:e].T @ x[e:]
+        x[k:e] = np.linalg.solve(low[k:e, k:e].T, x[k:e])
+    return x

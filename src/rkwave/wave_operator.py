@@ -201,12 +201,27 @@ def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
     """The Gram matrix A_ij = (L Psi_j)(x_i, t_i), each term a Kronecker product on the grid,
 
         A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
+
+    The terms are written in that order into one (nt, nx, nt, nx) buffer,
+    with one scratch array, so assembly holds two N x N arrays at a time.
     """
     r, t = basis.kernel_matrices
     a, g = basis.operator.alpha, basis.operator.gamma
-    return (np.kron(t[2, 2], a * a * r[0, 0])
-            - a * g * (np.kron(t[0, 2], r[2, 0]) + np.kron(t[2, 0], r[0, 2]))
-            + np.kron(t[0, 0], g * g * r[2, 2]))
+    nt, nx = len(basis.taus), len(basis.xis)
+    out, term = np.empty((nt, nx, nt, nx)), np.empty((nt, nx, nt, nx))
+
+    def kron(tm, rm, dest):  # dest[j, i, l, k] = tm[j, l] rm[i, k], as np.kron
+        np.multiply(tm[:, None, :, None], rm[None, :, None, :], out=dest)
+
+    kron(t[0, 2], r[2, 0], out)
+    kron(t[2, 0], r[0, 2], term)
+    out += term
+    out *= a * g
+    kron(t[2, 2], a * a * r[0, 0], term)
+    np.subtract(term, out, out=out)
+    kron(t[0, 0], g * g * r[2, 2], term)
+    out += term
+    return out.reshape(nt * nx, nt * nx)
 
 
 def collocation_values(basis: RepresenterBasis, weights) -> np.ndarray:

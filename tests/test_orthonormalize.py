@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from rkwave.kernels import closed_form_kernel
 from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
+    SYMMETRY_TILE,
     factor,
     solve_lower,
     solve_lower_t,
@@ -128,6 +131,35 @@ def test_nonsymmetric_rejected():
         factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gram_rejected(bad):
+    # NaN compares false with every bound and inf overflows the pivot test,
+    # so both must be stopped before the symmetry check and the factor
+    for a in ([[bad]], np.diag([1.0, bad]), [[1.0, bad], [bad, 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                factor(a)
+
+
+def test_symmetry_check_reads_every_tile_pair():
+    # entries inside and across the tiles, with the 1e-10 relative
+    # threshold on max|A| taken over all entries
+    n = 2 * SYMMETRY_TILE + 3
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((n, n))
+    base = m @ m.T + n * np.eye(n)
+    base[n - 1, n - 1] = 1e3 * np.max(np.abs(base))
+    scale = np.max(np.abs(base))
+    for i, j in ((1, 0), (SYMMETRY_TILE, SYMMETRY_TILE - 1), (n - 1, 0), (n - 1, n - 2)):
+        a = base.copy()
+        a[i, j] += 0.5e-10 * scale
+        factor(a)
+        a[i, j] += 1.0e-10 * scale
+        with pytest.raises(ValueError, match="symmetric"):
+            factor(a)
+
+
 def test_condition_estimate_diagonal():
     assert factor(np.eye(5)).condition_estimate == pytest.approx(1.0, rel=1e-10)
     assert factor(np.diag([100.0, 1.0])).condition_estimate == pytest.approx(100.0, rel=0.01)
@@ -173,7 +205,7 @@ def test_permutation_covariance():
     assert np.max(np.abs(cross @ cross.T - np.eye(n))) < 1e-8
 
 
-@pytest.mark.parametrize("n", [1, SOLVE_BLOCK - 1, SOLVE_BLOCK, 2 * SOLVE_BLOCK + 5])
+@pytest.mark.parametrize("n", [1, 2 * SOLVE_BLOCK - 1, 2 * SOLVE_BLOCK, 4 * SOLVE_BLOCK + 5])
 def test_blocked_triangular_solves_match_linalg_solve(n):
     rng = np.random.default_rng(n)
     low = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
@@ -184,3 +216,36 @@ def test_blocked_triangular_solves_match_linalg_solve(n):
                            atol=1e-12)
         assert np.array_equal(rhs, before)  # the right-hand side is not overwritten
 
+
+def relative_residual(low, x, b):
+    return np.linalg.norm(low @ x - b) / (np.linalg.norm(low) * np.linalg.norm(x))
+
+
+def test_triangular_solves_are_backward_stable_on_a_gram_factor():
+    # cond(A) ~ 1e14 at 24x24, so only the residual, not the error, is at
+    # rounding level; it is for both solves and both right-hand-side shapes
+    _, a = make_gram(24, 24)
+    low = factor(a).L
+    rng = np.random.default_rng(5)
+    for b in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
+        assert relative_residual(low, solve_lower(low, b), b) <= 1e-14
+        assert relative_residual(low.T, solve_lower_t(low, b), b) <= 1e-14
+
+
+def condition_matrices():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 40, 100):
+        m = rng.standard_normal((n, n))
+        yield m @ m.T + np.diag(rng.uniform(0.01, 1.0, n))
+    for nx in (4, 8, 12, 16):
+        yield make_gram(nx, nx)[1]
+    # cond_1 = 29, but Hager's ascent stops at e_1 with 4; only Higham's
+    # alternating vector lifts the estimate above a third, to 23.4
+    yield np.array([[29 / 4, 0.0, 0.0], [0.0, 15.0, 14.0], [0.0, 14.0, 15.0]]) / 29
+
+
+def test_condition_estimate_is_a_sharp_lower_bound_on_cond_1():
+    for a in condition_matrices():
+        cond1 = np.linalg.cond(a, 1)
+        est = factor(a).condition_estimate
+        assert cond1 / 3 <= est <= cond1 * (1 + 1e-8), (len(a), est, cond1)

@@ -147,6 +147,27 @@ def test_solve_builds_no_n_by_n_kernel_matrix(ex52_hp, monkeypatch):
     assert np.array_equal(sol.psi_weights, reference.psi_weights)
 
 
+def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
+    # one factorization per solve; the condition estimate and every sweep
+    # work from L, with no eigen-, singular-value or inverse computation
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("O(N^3) call outside the Cholesky")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for name in ("eigvalsh", "eigh", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    sol = solver.solve(ex52_hp, generate_collocation(16, 16))
+    assert calls == [(256, 256)]
+    assert sol.sweeps_used == 5 and np.isfinite(sol.beta.condition_estimate)
+
+
 def test_evaluate_accuracy_benchmark(ex51, ex51_sol_9):
     # regression bound for the collocation solution at the 9x9 grid; the
     # measured max error over the diagonal points is ~0.14

@@ -168,6 +168,18 @@ def test_gram_matrix_matches_gram_entry_on_an_irregular_grid():
     assert np.max(np.abs(A - oracle)) <= 64 * np.finfo(float).eps * np.max(np.abs(oracle))
 
 
+def test_gram_matrix_is_the_kron_formula_bit_for_bit():
+    # the in-place assembly keeps the operation order of the four np.kron
+    # products, so it rounds identically
+    for basis in (random_grid(5, 4, np.random.default_rng(23)), make_basis(6, 6)):
+        r, t = basis.kernel_matrices
+        a, g = basis.operator.alpha, basis.operator.gamma
+        kron = (np.kron(t[2, 2], a * a * r[0, 0])
+                - a * g * (np.kron(t[0, 2], r[2, 0]) + np.kron(t[2, 0], r[0, 2]))
+                + np.kron(t[0, 0], g * g * r[2, 2]))
+        assert np.array_equal(gram_matrix(basis), kron)
+
+
 def test_collocation_values_match_the_representer_matrix():
     rng = np.random.default_rng(22)
     for nx, nt in ((5, 4), (3, 7)):
