@@ -28,13 +28,32 @@ from pathlib import Path
 
 from . import problems, solver
 from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite
-from .problems import Curve, ProblemSpec, Rectangle, builtin, error_table
+from .problems import (Curve, ErrorReport, ErrorRow, ProblemSpec, Rectangle, builtin,
+                       error_table)
 from .solver import generate_collocation
 
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "x,t,exact,approx,abs_err,rel_err,seconds"
 SUMMARY_HEADER = "level,nx,nt,n_basis,max_abs_err,solution_norm,gram_condition,sweeps,seconds"
+
+
+def _g17(v: float) -> str:
+    return f"{v:.17g}"
+
+
+def _table_row(r: ErrorRow) -> list[str]:
+    """The CSV_HEADER columns of one error-table row."""
+    return [*map(_g17, (r.x, r.t, r.exact, r.approx, r.abs_err, r.rel_err)), f"{r.seconds:.6f}"]
+
+
+def _summary_row(level: int, nx: int, nt: int, sol: solver.Solution, report: ErrorReport,
+                 seconds: float) -> list[str]:
+    """The SUMMARY_HEADER columns of one refinement level."""
+    return [str(level), str(nx), str(nt), str(len(sol.basis)), _g17(report.max_abs_error),
+            _g17(solver.solution_norm(sol)), _g17(sol.beta.condition_estimate),
+            str(sol.sweeps_used), f"{seconds:.6f}"]
+
 
 _EXPR_NAMES = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
@@ -109,13 +128,49 @@ class RunConfig:
     custom: dict[str, str] = field(default_factory=dict)
 
 
+def _checked(convert, ok, requirement: str):
+    """A key parser: ``convert`` the value text, then require ``ok`` of the result."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):  # written so that NaN fails
+            raise ValueError(f"must be {requirement}")
+        return value
+    return parse
+
+
+def _pair(convert, text: str) -> tuple:
+    first, second = text.split(",")
+    return convert(first), convert(second)
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+
+# config key -> (RunConfig field, parser with the key's range check, --print-config form),
+# in --print-config order; unset (None) fields are not printed
+_KEYS = {
+    "problem": ("problem", _checked(str, lambda v: v in ("ex51", "ex52", "custom"),
+                                    "ex51, ex52 or custom"), str),
+    "nx": ("nx", _POSITIVE, str),
+    "nt": ("nt", _POSITIVE, str),
+    "outer_sweeps": ("outer_sweeps", _POSITIVE, str),
+    "tol": ("tol", _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"), _g17),
+    "refinement_levels": ("refinement_levels", _checked(int, lambda v: v >= 0, ">= 0"), str),
+    "format": ("fmt", _checked(str, lambda v: v in ("csv", "markdown"), "csv or markdown"), str),
+    "out": ("out", str, str),
+    "a": ("a", float, _g17),
+    "b": ("b", float, _g17),
+    "eval_points": ("eval_points",
+                    _checked(lambda s: [_pair(float, p) for p in s.split(";") if p.strip()],
+                             bool, "at least one x,t point"),
+                    lambda pts: "; ".join(f"{x:.17g},{t:.17g}" for x, t in pts)),
+    "eval_grid": ("eval_grid", _checked(lambda s: _pair(int, s), lambda g: min(g) >= 2,
+                                        "two sizes >= 2"), lambda g: f"{g[0]},{g[1]}"),
+}
+_OPTIONAL_CUSTOM_KEYS = ("nonlinearity", "source", "exact", "exact_dx")
 _CUSTOM_KEYS = (
     "T", "f", "f_d1", "f_d2", "g", "g_d1", "g_d2",
     "h1", "h1_d1", "h1_d2", "h2", "h2_d1", "h2_d2",
-    "nonlinearity", "source", "exact", "exact_dx",
-)
-_INT_KEYS = {"nx", "nt", "outer_sweeps", "refinement_levels"}
-_FLOAT_KEYS = {"tol", "a", "b"}
+) + _OPTIONAL_CUSTOM_KEYS
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -133,72 +188,35 @@ def parse_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        _apply_key(cfg, key, value, f"{path}:{lineno}")
+        if key in _CUSTOM_KEYS:
+            cfg.custom[key] = value
+        elif key in _KEYS:
+            name, parse, _ = _KEYS[key]
+            try:
+                setattr(cfg, name, parse(value))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     _validate(cfg)
     return cfg
 
 
-def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
-    try:
-        if key == "problem":
-            cfg.problem = value
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(value))
-        elif key == "format":
-            cfg.fmt = value
-        elif key == "out":
-            cfg.out = value
-        elif key == "eval_points":
-            pts = []
-            for chunk in value.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                x_str, t_str = chunk.split(",")
-                pts.append((float(x_str), float(t_str)))
-            cfg.eval_points = pts
-        elif key == "eval_grid":
-            gx_str, gt_str = value.split(",")
-            cfg.eval_grid = (int(gx_str), int(gt_str))
-        elif key in _CUSTOM_KEYS:
-            cfg.custom[key] = value
-        else:
-            raise ConfigError(f"unknown key {key!r}")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
-
-
 def _validate(cfg: RunConfig) -> None:
-    if cfg.problem not in ("ex51", "ex52", "custom"):
-        raise ConfigError(f"problem must be ex51, ex52 or custom, got {cfg.problem!r}")
-    if cfg.nx < 1 or cfg.nt < 1:
-        raise ConfigError(f"nx and nt must be >= 1, got nx={cfg.nx} nt={cfg.nt}")
-    if cfg.outer_sweeps < 1:
-        raise ConfigError("outer_sweeps must be >= 1")
-    if cfg.refinement_levels < 0:
-        raise ConfigError("refinement_levels must be >= 0")
-    if cfg.fmt not in ("csv", "markdown"):
-        raise ConfigError("format must be csv or markdown")
+    """The rules that span keys; each key's own range is checked by its parser."""
     if cfg.eval_points is not None and cfg.eval_grid is not None:
         raise ConfigError("eval_points and eval_grid are mutually exclusive")
-    if cfg.eval_grid is not None and (cfg.eval_grid[0] < 2 or cfg.eval_grid[1] < 2):
-        raise ConfigError("eval_grid sizes must be >= 2")
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
+    if cfg.problem != "custom" and cfg.custom:
+        raise ConfigError(f"keys only for custom problems given with problem = {cfg.problem}: "
+                          f"{', '.join(cfg.custom)}")
     if cfg.problem == "custom":
-        required = ("T", "f", "f_d1", "f_d2", "g", "g_d1", "g_d2",
-                    "h1", "h1_d1", "h1_d2", "h2", "h2_d1", "h2_d2")
-        missing = [k for k in required if k not in cfg.custom]
         if cfg.a is None or cfg.b is None:
             raise ConfigError("custom problems need explicit a and b")
+        missing = [k for k in _CUSTOM_KEYS
+                   if k not in cfg.custom and k not in _OPTIONAL_CUSTOM_KEYS]
         if missing:
             raise ConfigError(f"custom problem is missing keys: {', '.join(missing)}")
-        nl = cfg.custom.get("nonlinearity", "none")
-        if nl not in ("sin", "none"):
+        if cfg.custom.get("nonlinearity", "none") not in ("sin", "none"):
             raise ConfigError("nonlinearity must be sin or none")
     try:
         domain = _build_problem(cfg).domain  # surfaces expression errors too
@@ -225,9 +243,8 @@ def _build_problem(cfg: RunConfig) -> ProblemSpec:
         )
 
     nonlin = math.sin if c.get("nonlinearity", "none") == "sin" else None
-    source = compile_expression(c["source"], ("x", "t")) if "source" in c else None
-    exact = compile_expression(c["exact"], ("x", "t")) if "exact" in c else None
-    exact_dx = compile_expression(c["exact_dx"], ("x", "t")) if "exact_dx" in c else None
+    optional = {k: compile_expression(c[k], ("x", "t"))
+                for k in ("source", "exact", "exact_dx") if k in c}
     return ProblemSpec(
         domain=Rectangle(cfg.a, cfg.b, float(c["T"])),
         f=curve("f", "x"),
@@ -235,9 +252,7 @@ def _build_problem(cfg: RunConfig) -> ProblemSpec:
         h1=curve("h1", "t"),
         h2=curve("h2", "t"),
         nonlinearity=nonlin,
-        source=source,
-        exact=exact,
-        exact_dx=exact_dx,
+        **optional,
     )
 
 
@@ -255,63 +270,21 @@ def _eval_points(cfg: RunConfig, domain: Rectangle) -> list[tuple[float, float]]
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    lines = [
-        f"problem = {cfg.problem}",
-        f"nx = {cfg.nx}",
-        f"nt = {cfg.nt}",
-        f"outer_sweeps = {cfg.outer_sweeps}",
-        f"tol = {cfg.tol:.17g}",
-        f"refinement_levels = {cfg.refinement_levels}",
-        f"format = {cfg.fmt}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    if cfg.a is not None:
-        lines.append(f"a = {cfg.a:.17g}")
-    if cfg.b is not None:
-        lines.append(f"b = {cfg.b:.17g}")
-    if cfg.eval_points is not None:
-        pts = "; ".join(f"{x:.17g},{t:.17g}" for x, t in cfg.eval_points)
-        lines.append(f"eval_points = {pts}")
-    elif cfg.eval_grid is not None:
-        lines.append(f"eval_grid = {cfg.eval_grid[0]},{cfg.eval_grid[1]}")
-    else:
+    lines = [f"{key} = {show(getattr(cfg, name))}"
+             for key, (name, _, show) in _KEYS.items() if getattr(cfg, name) is not None]
+    if cfg.eval_points is None and cfg.eval_grid is None:
         lines.append("eval_points = <default: 10 diagonal points>")
-    for key in _CUSTOM_KEYS:
-        if key in cfg.custom:
-            lines.append(f"{key} = {cfg.custom[key]}")
+    lines += [f"{key} = {cfg.custom[key]}" for key in _CUSTOM_KEYS if key in cfg.custom]
     return "\n".join(lines) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _table_lines(rows, fmt: str) -> list[str]:
-    cols = CSV_HEADER.split(",")
+def _render(header: str, rows: list[list[str]], fmt: str) -> list[str]:
+    """The lines of a CSV or markdown table."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(",".join((_fmt(r.x), _fmt(r.t), _fmt(r.exact), _fmt(r.approx),
-                                   _fmt(r.abs_err), _fmt(r.rel_err), f"{r.seconds:.6f}")))
-        return lines
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for r in rows:
-        lines.append("| " + " | ".join((_fmt(r.x), _fmt(r.t), _fmt(r.exact), _fmt(r.approx),
-                                        _fmt(r.abs_err), _fmt(r.rel_err), f"{r.seconds:.6f}")) + " |")
-    return lines
-
-
-def _summary_lines(entries, fmt: str) -> list[str]:
-    cols = SUMMARY_HEADER.split(",")
-    body = [[str(e["level"]), str(e["nx"]), str(e["nt"]), str(e["n_basis"]),
-             _fmt(e["max_abs_err"]), _fmt(e["solution_norm"]), _fmt(e["gram_condition"]),
-             str(e["sweeps"]), f"{e['seconds']:.6f}"] for e in entries]
-    if fmt == "csv":
-        return [SUMMARY_HEADER] + [",".join(row) for row in body]
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    lines += ["| " + " | ".join(row) + " |" for row in body]
-    return lines
+        return [header] + [",".join(row) for row in rows]
+    cols = header.split(",")
+    return (["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
+            + ["| " + " | ".join(row) + " |" for row in rows])
 
 
 def _output_paths(out: str, levels: int, fmt: str):
@@ -325,20 +298,24 @@ def _output_paths(out: str, levels: int, fmt: str):
     return table_paths, Path(f"{stem}_summary{suffix}")
 
 
-def run(cfg: RunConfig, out: str | None = None, fmt: str | None = None) -> int:
-    """Execute the configured solve(s) and write tables; returns an exit code."""
-    fmt = fmt or cfg.fmt
-    out = out if out is not None else cfg.out
+def run(cfg: RunConfig) -> int:
+    """Execute the configured solve(s) and write tables; returns an exit code.
+
+    Raises ConfigError before any solve when the directory of ``cfg.out``
+    does not exist.
+    """
+    if cfg.out is not None and not Path(cfg.out).parent.is_dir():
+        raise ConfigError(f"cannot write {cfg.out}: "
+                          f"{Path(cfg.out).parent} is not an existing directory")
     problem = _build_problem(cfg)
     pts_eval = _eval_points(cfg, problem.domain)
     hp = problems.homogenize(problem)
 
-    nlevels = cfg.refinement_levels + 1
+    grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
+             for level in range(cfg.refinement_levels + 1)]
     tables = []
-    summary = []
-    for level in range(nlevels):
-        nx = cfg.nx * 2 ** level
-        nt = cfg.nt * 2 ** level
+    summary_rows = []
+    for level, (nx, nt) in enumerate(grids):
         start = time.perf_counter()
         colloc = generate_collocation(nx, nt)
         sol = solver.solve(hp, colloc, outer_sweeps=cfg.outer_sweeps, tol=cfg.tol)
@@ -348,27 +325,20 @@ def run(cfg: RunConfig, out: str | None = None, fmt: str | None = None) -> int:
                            level, nx, nt, sol.sweeps_used, sol.last_update, cfg.tol)
         report = error_table(sol, pts_eval)
         seconds = time.perf_counter() - start
-        tables.append(report.rows)
-        summary.append({
-            "level": level, "nx": nx, "nt": nt, "n_basis": len(sol.basis),
-            "max_abs_err": report.max_abs_error,
-            "solution_norm": solver.solution_norm(sol),
-            "gram_condition": sol.beta.condition_estimate,
-            "sweeps": sol.sweeps_used,
-            "seconds": seconds,
-        })
+        tables.append(_render(CSV_HEADER, [_table_row(r) for r in report.rows], cfg.fmt))
+        summary_rows.append(_summary_row(level, nx, nt, sol, report, seconds))
+    summary = _render(SUMMARY_HEADER, summary_rows, cfg.fmt)
 
-    if out is None:
-        for level, rows in enumerate(tables):
-            print(f"# level {level} (nx={summary[level]['nx']}, nt={summary[level]['nt']})")
-            print("\n".join(_table_lines(rows, fmt)))
+    if cfg.out is None:
+        for level, ((nx, nt), table) in enumerate(zip(grids, tables)):
+            print(f"# level {level} (nx={nx}, nt={nt})")
+            print("\n".join(table))
         print("# summary")
-        print("\n".join(_summary_lines(summary, fmt)))
+        print("\n".join(summary))
     else:
-        table_paths, summary_path = _output_paths(out, nlevels, fmt)
-        for path, rows in zip(table_paths, tables):
-            path.write_text("\n".join(_table_lines(rows, fmt)) + "\n")
-        summary_path.write_text("\n".join(_summary_lines(summary, fmt)) + "\n")
+        table_paths, summary_path = _output_paths(cfg.out, len(grids), cfg.fmt)
+        for path, lines in zip([*table_paths, summary_path], [*tables, summary]):
+            path.write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -387,14 +357,17 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.print_config:
+            sys.stdout.write(resolved_config_text(cfg))
+            return 0
+        if args.out is not None:
+            cfg.out = args.out
+        if args.fmt is not None:
+            cfg.fmt = args.fmt
+        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.print_config:
-        sys.stdout.write(resolved_config_text(cfg))
-        return 0
-    try:
-        return run(cfg, out=args.out, fmt=args.fmt)
     except NotPositiveDefinite as exc:
         print(f"numerical failure in orthonormalize.factor: {exc}", file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ class IncompatibleCorners(ValueError):
 
 
 class DegenerateDomain(ValueError):
-    """Space-time rectangle has non-positive width or duration."""
+    """Space-time rectangle is not finite or has non-positive width or duration."""
 
 
 class OutOfDomain(ValueError):

@@ -58,6 +58,8 @@ class Rectangle:
     T: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.T)):
+            raise DegenerateDomain(f"rectangle [{self.a}, {self.b}] x [0, {self.T}] is not finite")
         if not (self.b > self.a) or not (self.T > 0):
             raise DegenerateDomain(f"degenerate rectangle [{self.a}, {self.b}] x [0, {self.T}]")
 

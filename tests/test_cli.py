@@ -50,6 +50,39 @@ def test_parse_rejects_bad_configs(tmp_path):
             cli.parse_config(write(tmp_path, body))
 
 
+ZERO_DATA = "".join(f"{c}{d} = 0\n" for c in ("f", "g", "h1", "h2") for d in ("", "_d1", "_d2"))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("problem = ex52\na = -inf\n", "is not finite"),
+    ("problem = custom\na = 0\nb = inf\nT = 1\n" + ZERO_DATA, "is not finite"),
+    ("problem = ex51\ntol = nan\n", "bad value for 'tol': must be positive and finite"),
+    ("problem = ex52\ntol = inf\n", "bad value for 'tol': must be positive and finite"),
+    ("problem = ex51\neval_points =\n", "bad value for 'eval_points'"),
+    ("problem = ex51\nsource = x\nnonlinearity = sin\n", "problem = ex51: source, nonlinearity"),
+    ("problem = ex52\nT = 2\nexact = 0\nf = 1\n", "problem = ex52: T, exact, f"),
+], ids=["ex52_a_-inf", "custom_b_inf", "tol_nan", "tol_inf", "empty_eval_points",
+        "ex51_custom_keys", "ex52_custom_keys"])
+def test_config_error_exits_2_without_output(tmp_path, capsys, body, message):
+    out = tmp_path / "o.csv"
+    assert cli.main([str(write(tmp_path, body + f"nx = 2\nnt = 2\nout = {out}\n"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "nowhere" / "t.csv"
+    solves = []
+    monkeypatch.setattr(cli.solver, "solve", lambda *args, **kwargs: solves.append(args))
+    body = "problem = ex51\nnx = 2\nnt = 2\n"
+    assert cli.main([str(write(tmp_path, body + f"out = {missing}\n", "a.cfg"))]) == 2
+    assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.count(f"config error: cannot write {missing}") == 2
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
+
+
 def test_expression_compiler_guards():
     f = cli.compile_expression("sin(pi*x)", ("x",))
     assert f(0.5) == pytest.approx(1.0)
@@ -122,6 +155,17 @@ def test_print_config_resolves_defaults(tmp_path, capsys):
     assert "outer_sweeps = 5" in text
     assert "nx = 3" in text and "nt = 4" in text
     assert "eval_points = <default: 10 diagonal points>" in text
+
+
+def test_print_config_parses_back_to_the_same_config(tmp_path):
+    custom = ("problem = custom\na = -0.5\nb = 1\nT = 2\n" + ZERO_DATA
+              + "nonlinearity = none\nsource = 0\nexact = 0\nexact_dx = 0\n")
+    for body in (custom + "nx = 3\nnt = 4\nouter_sweeps = 7\ntol = 1e-9\nrefinement_levels = 1\n"
+                 "format = markdown\nout = r.md\neval_points = 0.1,0.2; 1,2\n",
+                 "problem = ex52\na = -2\nb = 1.5\neval_grid = 4,3\n"):
+        cfg = cli.parse_config(write(tmp_path, body))
+        printed = write(tmp_path, cli.resolved_config_text(cfg), "printed.cfg")
+        assert cli.parse_config(printed) == cfg
 
 
 def test_run_ex51_csv(tmp_path):

@@ -38,6 +38,10 @@ def test_degenerate_domain():
         Rectangle(1.0, 1.0, 1.0)
     with pytest.raises(DegenerateDomain):
         Rectangle(0.0, 1.0, 0.0)
+    for a, b, T in ((-math.inf, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.inf),
+                    (math.nan, 1.0, 1.0)):
+        with pytest.raises(DegenerateDomain):
+            Rectangle(a, b, T)
 
 
 def test_builtin_ex51_values():
