@@ -6,8 +6,9 @@ Usage:
 
 (a ``solve`` alias of the same entry point is installed as well).  The
 config is flat ``key = value`` text with ``#`` comments; ``--print-config``
-echoes the fully resolved configuration, defaults included, without
-solving.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+echoes the configuration that would run, defaults and the ``--out`` and
+``--format`` overrides included, without solving.  Exit codes: 0 success,
+2 config error, 3 numerical failure.
 
 One table is written per refinement level (each level doubles nx and nt)
 plus a summary with per-level max absolute error, solution norm, Gram
@@ -302,17 +303,22 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured solve(s) and write tables; returns an exit code.
 
     Raises ConfigError before any solve when the directory of ``cfg.out``
-    does not exist.
+    does not exist or an output path is an existing directory.
     """
-    if cfg.out is not None and not Path(cfg.out).parent.is_dir():
-        raise ConfigError(f"cannot write {cfg.out}: "
-                          f"{Path(cfg.out).parent} is not an existing directory")
+    grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
+             for level in range(cfg.refinement_levels + 1)]
+    if cfg.out is not None:
+        if not Path(cfg.out).parent.is_dir():
+            raise ConfigError(f"cannot write {cfg.out}: "
+                              f"{Path(cfg.out).parent} is not an existing directory")
+        table_paths, summary_path = _output_paths(cfg.out, len(grids), cfg.fmt)
+        for path in (*table_paths, summary_path):
+            if path.is_dir():
+                raise ConfigError(f"cannot write {path}: it is a directory")
     problem = _build_problem(cfg)
     pts_eval = _eval_points(cfg, problem.domain)
     hp = problems.homogenize(problem)
 
-    grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
-             for level in range(cfg.refinement_levels + 1)]
     tables = []
     summary_rows = []
     for level, (nx, nt) in enumerate(grids):
@@ -336,7 +342,6 @@ def run(cfg: RunConfig) -> int:
         print("# summary")
         print("\n".join(summary))
     else:
-        table_paths, summary_path = _output_paths(cfg.out, len(grids), cfg.fmt)
         for path, lines in zip([*table_paths, summary_path], [*tables, summary]):
             path.write_text("\n".join(lines) + "\n")
     return 0
@@ -352,18 +357,18 @@ def main(argv=None) -> int:
     parser.add_argument("--format", dest="fmt", choices=("csv", "markdown"), default=None,
                         help="output format (overrides the config)")
     parser.add_argument("--print-config", action="store_true",
-                        help="print the resolved configuration and exit")
+                        help="print the resolved configuration, overrides applied, and exit")
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)
-        if args.print_config:
-            sys.stdout.write(resolved_config_text(cfg))
-            return 0
         if args.out is not None:
             cfg.out = args.out
         if args.fmt is not None:
             cfg.fmt = args.fmt
+        if args.print_config:
+            sys.stdout.write(resolved_config_text(cfg))
+            return 0
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -186,8 +186,10 @@ def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
         the total coefficient of every unconstrained boundary value
         u^(d)(e) in <u, K(., y)> must vanish,
     (c) C^(2m-2) continuity across x = y,
-    (d) unit jump of the (2m-1)-th x-derivative across the diagonal
-        (lower minus upper), which is what reproduces point evaluation.
+    (d) a jump of (-1)^(m-1) in the (2m-1)-th x-derivative across the
+        diagonal (lower minus upper), which is what reproduces point
+        evaluation: integrating by parts m times leaves (-1)^(m-1) times
+        that jump against u(y).
 
     Every coefficient of the system is an integer, so Gauss-Jordan
     elimination over sparse rows of Fractions solves it exactly.  Raises
@@ -244,13 +246,13 @@ def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
                     add(row, 1, i, j, -math.perm(i, d))
             rows.append((row, 0))
 
-    # (d) unit jump of the (2m-1)-th derivative, lower minus upper
+    # (d) the jump (-1)^(m-1) of the (2m-1)-th derivative, lower minus upper
     top = math.factorial(n - 1)
     for j in range(n):
         row = {}
         add(row, 0, n - 1, j, top)
         add(row, 1, n - 1, j, -top)
-        rows.append((row, 1 if j == 0 else 0))
+        rows.append((row, (-1) ** (m - 1) if j == 0 else 0))
 
     # Gauss-Jordan: pivot rows stay fully reduced, so reducing a new row by
     # them leaves it free of every pivot unknown.  Taking the sparsest rows

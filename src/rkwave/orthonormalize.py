@@ -6,7 +6,8 @@ Gram matrix A = L L^T (Cholesky), beta = L^{-1} produces the same
 orthonormal system as sequential Gram-Schmidt, up to rounding, and
 satisfies beta A beta^T = I.  beta is never formed: every use of it is a
 triangular solve against L, done here by blocked substitution in O(N^2)
-per right-hand side: LAPACK solves each diagonal block, and the coupling
+per right-hand side: each diagonal block is a product with its inverse,
+formed once per factor and refined by one more product, and the coupling
 to the blocks already solved is one BLAS product.
 
 L comes from LAPACK in double precision and is the only O(N^3) step.  The
@@ -19,7 +20,7 @@ degenerate collocation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .errors import NotPositiveDefinite
 # input and a patched factor would corrupt every downstream diagnostic.
 PIVOT_RTOL = 1e-12
 
-# Rows per diagonal block of the triangular solves.  Each block is one
-# small LAPACK solve; everything off the diagonal blocks is BLAS products.
+# Rows per diagonal block of the triangular solves.  Each block's inverse is
+# one small LAPACK solve per factor; the solves themselves are BLAS products.
 SOLVE_BLOCK = 32
 
 # Rows and columns of the tile pairs compared by the symmetry check, which
@@ -52,6 +53,8 @@ class GramFactor:
 
     L: np.ndarray
     condition_estimate: float
+    # inverses of L's diagonal blocks, for solve_lower and solve_lower_t
+    block_inverses: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
         low = np.array(self.L, dtype=float)
@@ -109,7 +112,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _inverse_norm1(low: np.ndarray) -> float:
+def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     """A lower bound on ||A^{-1}||_1 for A = L L^T, usually equal to it (dlacn2).
 
     Each candidate is ||A^{-1} x||_1 / ||x||_1 for some x, so none exceeds
@@ -123,7 +126,7 @@ def _inverse_norm1(low: np.ndarray) -> float:
     n = low.shape[0]
 
     def inv(v):
-        return solve_lower_t(low, solve_lower(low, v))
+        return solve_lower_t(low, solve_lower(low, v, blocks), blocks)
 
     y = inv(np.full(n, 1.0 / n))
     if n == 1:
@@ -150,38 +153,61 @@ def _inverse_norm1(low: np.ndarray) -> float:
 def factor(gram) -> GramFactor:
     """Cholesky factor of a symmetric positive definite Gram matrix.
 
-    Computes A = L L^T with LAPACK and returns L together with an O(N^2)
-    estimate of cond_1(A) from solves against L (see GramFactor).  Raises
+    Computes A = L L^T with LAPACK and returns L together with the
+    inverses of its diagonal blocks and an O(N^2) estimate of cond_1(A)
+    from solves against L (see GramFactor).  Raises
     NotPositiveDefinite(k) when the k-th pivot is not above PIVOT_RTOL
     times the largest diagonal entry, and ValueError for input that is not
     square, symmetric and finite.
     """
     a = _check_symmetric(gram)
     low = _cholesky(a)
-    return GramFactor(low, float(np.linalg.norm(a, 1)) * _inverse_norm1(low))
+    blocks = block_inverses(low)
+    return GramFactor(low, float(np.linalg.norm(a, 1)) * _inverse_norm1(low, blocks), blocks)
 
 
-def solve_lower(low: np.ndarray, rhs) -> np.ndarray:
+def block_inverses(low: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The inverses of L's SOLVE_BLOCK x SOLVE_BLOCK diagonal blocks, the last one smaller.
+
+    Each is one small LAPACK solve against the identity, made once per
+    factor rather than once per right-hand side.
+    """
+    n = low.shape[0]
+    blocks = (low[k:k + SOLVE_BLOCK, k:k + SOLVE_BLOCK] for k in range(0, n, SOLVE_BLOCK))
+    return tuple(np.linalg.solve(d, np.eye(len(d))) for d in blocks)
+
+
+def _refined(d: np.ndarray, inv: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """d^{-1} r as inv @ r plus one step of refinement against d.
+
+    The product with a computed inverse alone is not backward stable; one
+    step of fixed-precision refinement makes it so unless d is nearly
+    singular, at two more block products.
+    """
+    y = inv @ r
+    return y + inv @ (r - d @ y)
+
+
+def solve_lower(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:
     """x with L x = rhs for lower-triangular L, by blocked forward substitution.
 
-    ``rhs`` is a vector or a matrix of right-hand-side columns.  Costs
-    O(N^2) per column, where np.linalg.solve would run an O(N^3) LU of L.
+    ``rhs`` is a vector or a matrix of right-hand-side columns and
+    ``inverses`` are L's ``block_inverses``.  Costs O(N^2) per column, where
+    np.linalg.solve would run an O(N^3) LU of L.
     """
     x = np.array(rhs, dtype=float)
-    n = low.shape[0]
-    for k in range(0, n, SOLVE_BLOCK):
-        e = min(k + SOLVE_BLOCK, n)
+    for k, inv in zip(range(0, low.shape[0], SOLVE_BLOCK), inverses):
+        e = k + len(inv)
         x[k:e] -= low[k:e, :k] @ x[:k]
-        x[k:e] = np.linalg.solve(low[k:e, k:e], x[k:e])
+        x[k:e] = _refined(low[k:e, k:e], inv, x[k:e])
     return x
 
 
-def solve_lower_t(low: np.ndarray, rhs) -> np.ndarray:
+def solve_lower_t(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:
     """x with L^T x = rhs for lower-triangular L, by blocked back substitution."""
     x = np.array(rhs, dtype=float)
-    n = low.shape[0]
-    for k in reversed(range(0, n, SOLVE_BLOCK)):
-        e = min(k + SOLVE_BLOCK, n)
+    for k, inv in reversed(tuple(zip(range(0, low.shape[0], SOLVE_BLOCK), inverses))):
+        e = k + len(inv)
         x[k:e] -= low[e:, k:e].T @ x[e:]
-        x[k:e] = np.linalg.solve(low[k:e, k:e].T, x[k:e])
+        x[k:e] = _refined(low[k:e, k:e].T, inv.T, x[k:e])
     return x

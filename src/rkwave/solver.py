@@ -124,8 +124,8 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
 
     vals = np.zeros(len(basis))
     for sweeps_used in range(1, outer_sweeps + 1):
-        b = solve_lower(bf.L, _source_values(hp, basis.points, vals))
-        c = solve_lower_t(bf.L, b)
+        b = solve_lower(bf.L, _source_values(hp, basis.points, vals), bf.block_inverses)
+        c = solve_lower_t(bf.L, b, bf.block_inverses)
         vals, prev = wave_operator.collocation_values(basis, c), vals
         update = float(np.max(np.abs(vals - prev)))
         if update <= tol:

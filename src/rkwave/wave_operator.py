@@ -21,8 +21,12 @@ The collocation points form a tensor grid and every term is a space factor
 times a time factor, so A and the series values at the points are built
 from 1-D kernel matrices on the grid coordinates, never an N x N one.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
-one bivariate polynomial on each cell of the grid; ``series_table``
-tabulates it once so that ``SeriesTable.value`` costs the same at any N.
+one bivariate polynomial of degree 5 in each variable on each cell of the
+grid.  ``series_table`` tabulates it once in piecewise-polynomial form, a
+6x6 coefficient matrix per cell for the series and one for its
+xi-derivative, so ``SeriesTable.value`` costs two power vectors and one
+6x6 product at any N.  The last column of cells is expanded about xi = 1,
+which keeps the series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -111,66 +115,86 @@ def _sums_from(a: np.ndarray, axis: int) -> np.ndarray:
     return np.concatenate([tail, zero], axis=axis)
 
 
-# which of the 24 branch-polynomial columns of a SeriesTable take xi (space)
-# rather than tau (time) as their evaluation coordinate
-_SPACE_COLUMNS = np.repeat([False, True], 12)
+# exponents of the power vectors (tau^p) and (s^q) that SeriesTable.value
+# contracts with a cell's 6x6 coefficient matrix
+_POWERS = np.arange(6)
+
+
+def _shift_to_one(coef: np.ndarray) -> np.ndarray:
+    """Coefficients in s = x - 1 of the polynomials sum_p coef[p] x^p, one per column.
+
+    Repeated synthetic division by x - 1.  Row 0, the value at x = 1, is
+    summed from the top power down, the order of the Horner sum that
+    ``kernels._polish_columns_at_one`` drives to zero, so a polished column
+    keeps its exact zero there.
+    """
+    out = np.array(coef, dtype=float)
+    n = len(out)
+    for j in range(n - 1):
+        for i in range(n - 2, j - 1, -1):
+            out[i] += out[i + 1]
+    return out
 
 
 @dataclass(frozen=True)
 class SeriesTable:
-    """The series v = sum_k c_k Psi_k tabulated per cell of the coordinate grid.
+    """The series v = sum_k c_k Psi_k in piecewise-polynomial form on the coordinate grid.
 
     ``xs`` and ``ts`` are the grid coordinates, ascending.  A point
     (xi, tau) lies in cell (b, a) with b = bisect_left(ts, tau) and
     a = bisect_left(xs, xi), so basis point (ts[j], xs[i]) sits on the lower
     kernel branch in time iff j >= b and in space iff i >= a, exactly the
-    x <= y rule of ``eval_kernel_grid``.  Writing a kernel branch as
-    sum_pq C[p, q] x^p y^q, the representer's parameter derivatives fall on
-    the powers of y alone: with V(y) = (y^q) and V''(y) = (q (q-1) y^(q-2))
-    over q = 0..5, and g_s(tau), h_r(xi) the Horner values of time branch s
-    and space branch r in those powers,
+    x <= y rule of ``eval_kernel_grid``.  On each cell the series is one
+    bivariate polynomial of degree 5 in each variable (the pp-form of a
+    spline), and ``poly[dx, b, a]`` holds the coefficients of its dx-th
+    xi-derivative: entry [p, q] multiplies tau^p s^q, so
 
-        Psi_ji(xi, tau) = g_s(tau)^T [alpha V''(ts[j]) V(xs[i])^T
-                                      - gamma V(ts[j]) V''(xs[i])^T] h_r(xi)
+        d^dx v / dxi^dx (xi, tau) = (tau^p)_p^T poly[dx, b, a] (s^q)_q.
 
-    for the branches (s, r) that basis point (j, i) uses.  ``blocks[b, a]``
-    holds in its 6x6 quadrant (s, r) the bracket summed with the weights
-    c_ji over the basis points using that pair, so with g = (g_upper,
-    g_lower) and h = (h_upper, h_lower) the series is v = g^T blocks[b, a] h,
-    and dv/dxi takes h from the xi-differentiated space branches.  The
-    table holds (len(xs) + 1)(len(ts) + 1) 144 doubles and serves both
-    derivative orders.
+    s is xi in every column of cells but the last, a = len(xs), past the
+    last coordinate, where s = xi - 1.  There every basis point is on the
+    upper space branch, whose value at xi = 1 is exactly 0 only as the
+    Horner sum polished by ``kernels._polish_columns_at_one``; expanding
+    about xi = 1 makes that sum the s^0 coefficient, so the series stays
+    exactly 0 at xi = 1 for any weights.  At xi = 0 and tau = 0 the zero
+    holds by structure: the lower branches have exactly zero constant rows
+    and the first cell's other quadrants are empty sums.  The table holds
+    2 * 36 doubles per cell, (len(xs) + 1)(len(ts) + 1) cells, and a point
+    costs the same at any basis size.
     """
 
     xs: tuple[float, ...]
     ts: tuple[float, ...]
-    blocks: np.ndarray = field(repr=False)
-    # columns[dx]: 6 x 24 branch coefficients, row p multiplying the p-th
-    # power of the evaluation coordinate: the (upper, lower) time branches
-    # in tau, then the dx-th xi-derivative of the space branches in xi
-    columns: np.ndarray = field(repr=False)
+    poly: np.ndarray = field(repr=False)
 
     def value(self, xi: float, tau: float, dx: int = 0) -> float:
         """d^dx/dxi^dx of the series at a canonical point."""
         if dx not in (0, 1):
             raise ValueError("dx must be 0 or 1")
-        k = self.blocks[bisect_left(self.ts, tau), bisect_left(self.xs, xi)]
-        z = np.where(_SPACE_COLUMNS, xi, tau)
-        coef = self.columns[dx]
-        # Horner in the evaluation coordinate, as in eval_kernel_grid, keeps
-        # the branches exactly zero at xi = 0, xi = 1 and tau = 0
-        acc = coef[5] * z + coef[4]
-        for row in coef[3::-1]:
-            acc *= z
-            acc += row
-        return float(acc[:12] @ k @ acc[12:])
+        a = bisect_left(self.xs, xi)
+        s = xi - 1.0 if a == len(self.xs) else xi
+        cell = self.poly[dx, bisect_left(self.ts, tau), a]
+        return float(tau ** _POWERS @ cell @ s ** _POWERS)
 
 
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     """Tabulate sum_k weights[k] Psi_k for ``SeriesTable.value``.
 
-    Each quadrant is its own cumulative sum, so a quadrant with no basis
-    points is exactly zero: no cancellation reaches the dead edges.
+    Writing a kernel branch as sum_pq C[p, q] x^p y^q, the representer's
+    parameter derivatives fall on the powers of y alone: with
+    V(y) = (y^q) and V''(y) = (q (q-1) y^(q-2)) over q = 0..5,
+
+        Psi_ji(xi, tau) = g_s(tau)^T [alpha V''(ts[j]) V(xs[i])^T
+                                      - gamma V(ts[j]) V''(xs[i])^T] h_r(xi),
+
+    where g_s(tau) = C_s^T (tau^p) and h_r(xi) = C_r^T (xi^p) for the time
+    branch s and space branch r that basis point (j, i) uses in the cell.
+    Summing the bracket with the weights c_ji over the basis points of each
+    branch pair gives a 12x12 block per cell (quadrant (s, r)), each
+    quadrant its own cumulative sum, so a quadrant with no basis points is
+    exactly zero and no cancellation reaches the dead edges.  The time
+    branches (6x12) and then the dx-th xi-derivative of the space branches
+    are folded into each block, leaving the 6x6 coefficient matrices.
     """
     xs, ts = np.array(basis.xis), np.array(basis.taus)
     c = np.reshape(weights, (len(ts), len(xs)))
@@ -189,12 +213,14 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
         for cols, x_sums in halves:
             blocks[:, :, rows, cols] = t_sums(x_sums(terms, 1), 0)
     rk, tk = basis.space_kernel, basis.time_kernel
-    columns = np.zeros((2, 6, 24))
-    columns[:, :, :6], columns[:, :, 6:12] = tk.upper, tk.lower
+    folded = np.hstack([tk.upper, tk.lower]) @ blocks  # row p multiplies tau^p
+    poly = np.empty((2, len(ts) + 1, len(xs) + 1, 6, 6))
     for dx in (0, 1):
-        columns[dx, :6 - dx, 12:] = np.hstack([_deriv_matrix(m, dx, 0)
-                                              for m in (rk.upper, rk.lower)])
-    return SeriesTable(basis.xis, basis.taus, blocks, columns)
+        space = np.zeros((6, 12))  # row p multiplies xi^p
+        space[:6 - dx] = np.hstack([_deriv_matrix(m, dx, 0) for m in (rk.upper, rk.lower)])
+        poly[dx, :, :-1] = folded[:, :-1] @ space.T
+        poly[dx, :, -1] = folded[:, -1] @ _shift_to_one(space).T
+    return SeriesTable(basis.xis, basis.taus, poly)
 
 
 def gram_matrix(basis: RepresenterBasis) -> np.ndarray:

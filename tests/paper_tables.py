@@ -64,13 +64,19 @@ PRINTED = {
 MISPRINTS = {("R_spatial", "lower", 4, 5): (F(1, 2938), F(1, 2928))}
 
 
-def table_kernel(space_id: str) -> PiecewiseKernel:
-    """The printed tables with the misprint corrected, rounded to doubles."""
+def corrected_tables(space_id: str) -> dict:
+    """The printed (lower, upper) branches with the misprint corrected, as exact fractions."""
     branches = {"lower": [row[:] for row in PRINTED[space_id][0]],
                 "upper": [row[:] for row in PRINTED[space_id][1]]}
     for (sid, branch, i, j), (_, correct) in MISPRINTS.items():
         if sid == space_id:
             branches[branch][i][j] = correct
+    return branches
+
+
+def table_kernel(space_id: str) -> PiecewiseKernel:
+    """The printed tables with the misprint corrected, rounded to doubles."""
+    branches = corrected_tables(space_id)
     return PiecewiseKernel(np.array(branches["lower"], dtype=float),
                            np.array(branches["upper"], dtype=float),
                            spec_of(space_id).order)

@@ -83,6 +83,26 @@ def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
 
+def test_directory_output_path_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # a table or summary path that is an existing directory
+    solves = []
+    monkeypatch.setattr(cli.solver, "solve", lambda *args, **kwargs: solves.append(args))
+    (tmp_path / "x.csv").mkdir()
+    (tmp_path / "y_summary.csv").mkdir()
+    body = "problem = ex51\nnx = 2\nnt = 2\n"
+    cfg = write(tmp_path, body, "a.cfg")
+    levels = write(tmp_path, body + "refinement_levels = 1\n", "b.cfg")
+    assert cli.main([str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert cli.main([str(levels), "--out", str(tmp_path / "y.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {tmp_path / 'x.csv'}: it is a directory" in err
+    assert f"config error: cannot write {tmp_path / 'y_summary.csv'}: it is a directory" in err
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg", "x.csv",
+                                                          "y_summary.csv"]
+    assert [list(p.iterdir()) for p in (tmp_path / "x.csv", tmp_path / "y_summary.csv")] == [[], []]
+
+
 def test_expression_compiler_guards():
     f = cli.compile_expression("sin(pi*x)", ("x",))
     assert f(0.5) == pytest.approx(1.0)
@@ -155,6 +175,16 @@ def test_print_config_resolves_defaults(tmp_path, capsys):
     assert "outer_sweeps = 5" in text
     assert "nx = 3" in text and "nt = 4" in text
     assert "eval_points = <default: 10 diagonal points>" in text
+
+
+def test_print_config_applies_the_command_line_overrides(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "problem = ex51\nformat = csv\n")
+    assert cli.main(["run.cfg", "--print-config", "--format", "markdown", "--out", "r.md"]) == 0
+    text = capsys.readouterr().out
+    assert "format = markdown" in text and "out = r.md" in text
+    assert "format = csv" not in text
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_print_config_parses_back_to_the_same_config(tmp_path):

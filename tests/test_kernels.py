@@ -1,4 +1,5 @@
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from oracles import (
     section,
     spec_of,
 )
-from paper_tables import MISPRINTS, printed_vs_exact, table_kernel
+from paper_tables import MISPRINTS, corrected_tables, printed_vs_exact, table_kernel
 
 ORDER3_IDS = ("R_spatial", "r_temporal")
 
@@ -240,6 +241,44 @@ def test_printed_tables_differ_from_derivation_in_single_misprint():
     assert (branch, i, j) == ("lower", 4, 5)
     for sid in ("r_temporal", "Q_spatial", "q_temporal"):
         assert printed_vs_exact(sid) == []
+
+
+def exact_kernel(c, x, y):
+    """K(x, y) from the exact lower-branch coefficients c[i][j] of x^i y^j on x <= y."""
+    x, y = min(x, y), max(x, y)  # the upper branch is the lower one with x, y swapped
+    return sum(c[i][j] * x ** i * y ** j for i in range(len(c)) for j in range(len(c)))
+
+
+def exact_pivots(mat):
+    """The pivots of Gaussian elimination without row exchanges, in exact arithmetic."""
+    a = [row[:] for row in mat]
+    pivots = []
+    for k in range(len(a)):
+        pivots.append(a[k][k])
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return pivots
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kernel_is_positive_definite_at_every_order(m):
+    # a space of order m pinning u^(d)(0) for d < max(1, m-1); the jump of
+    # the top derivative carries the sign (-1)^(m-1), so even orders too
+    # give a positive kernel, not its negative
+    spec = SpaceSpec(m, tuple((d, 0) for d in range(max(1, m - 1))),
+                     tuple((d, 0) for d in range(m)))
+    c = kernels._exact_coefficients(spec)
+    ys = [Fraction(k, 10) for k in range(1, 10)]
+    assert all(exact_kernel(c, y, y) > 0 for y in ys)
+    gram = [[exact_kernel(c, x, y) for y in ys] for x in ys]
+    # every leading minor positive (Sylvester), so the matrix is positive definite
+    assert all(p > 0 for p in exact_pivots(gram))
+
+
+@pytest.mark.parametrize("sid", ORDER3_IDS)
+def test_order3_coefficients_are_exactly_the_corrected_tables(sid):
+    assert kernels._exact_coefficients(spec_of(sid)) == corrected_tables(sid)["lower"]
 
 
 def test_oracle_rejects_degenerate_space():

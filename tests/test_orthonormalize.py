@@ -9,6 +9,7 @@ from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
     SYMMETRY_TILE,
+    block_inverses,
     factor,
     solve_lower,
     solve_lower_t,
@@ -209,10 +210,12 @@ def test_permutation_covariance():
 def test_blocked_triangular_solves_match_linalg_solve(n):
     rng = np.random.default_rng(n)
     low = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    inverses = block_inverses(low)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         before = rhs.copy()
-        assert np.allclose(solve_lower(low, rhs), np.linalg.solve(low, rhs), rtol=0, atol=1e-12)
-        assert np.allclose(solve_lower_t(low, rhs), np.linalg.solve(low.T, rhs), rtol=0,
+        assert np.allclose(solve_lower(low, rhs, inverses), np.linalg.solve(low, rhs), rtol=0,
+                           atol=1e-12)
+        assert np.allclose(solve_lower_t(low, rhs, inverses), np.linalg.solve(low.T, rhs), rtol=0,
                            atol=1e-12)
         assert np.array_equal(rhs, before)  # the right-hand side is not overwritten
 
@@ -225,11 +228,12 @@ def test_triangular_solves_are_backward_stable_on_a_gram_factor():
     # cond(A) ~ 1e14 at 24x24, so only the residual, not the error, is at
     # rounding level; it is for both solves and both right-hand-side shapes
     _, a = make_gram(24, 24)
-    low = factor(a).L
+    bf = factor(a)
+    low = bf.L
     rng = np.random.default_rng(5)
     for b in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
-        assert relative_residual(low, solve_lower(low, b), b) <= 1e-14
-        assert relative_residual(low.T, solve_lower_t(low, b), b) <= 1e-14
+        assert relative_residual(low, solve_lower(low, b, bf.block_inverses), b) <= 1e-14
+        assert relative_residual(low.T, solve_lower_t(low, b, bf.block_inverses), b) <= 1e-14
 
 
 def condition_matrices():

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -235,9 +237,34 @@ def test_series_table_matches_kernel_rows_on_an_irregular_grid():
     weights = rng.normal(size=len(basis))
     table = series_table(basis, weights)
     assert (table.xs, table.ts) == (basis.xis, basis.taus)
-    assert table.blocks.shape == (6, 8, 12, 12)
+    assert table.poly.shape == (2, 6, 8, 6, 6)
     xi = np.concatenate([rng.random(100), basis.xs, basis.xs])
     tau = np.concatenate([rng.random(100), basis.ts, basis.ts[::-1]])
+    assert_table_matches_rows(basis, weights, xi, tau)
+
+
+def cell_coordinates(coords, rng):
+    """A random coordinate inside each of the len(coords) + 1 cells of a table axis, and the edges.
+
+    The cells end at 0 and 1, or just past 1 where coords[-1] = 1.
+    """
+    edges = np.concatenate([[0.0], coords, [1.0 if coords[-1] < 1.0 else 1.001]])
+    return edges[:-1] + rng.uniform(0.05, 0.95, len(edges) - 1) * np.diff(edges), edges
+
+
+@pytest.mark.parametrize("irregular", [False, True])
+def test_series_table_matches_kernel_rows_in_every_cell(irregular):
+    # one random point in every cell, the column past xs[-1] and the row
+    # past ts[-1] included, plus every cell corner
+    rng = np.random.default_rng(16)
+    basis = random_grid(6, 8, rng) if irregular else make_basis(7, 6, alpha=0.6, gamma=1.7)
+    weights = rng.normal(size=len(basis)) * 10.0 ** rng.integers(0, 5, len(basis))
+    (x_in, x_edges), (t_in, t_edges) = (cell_coordinates(np.array(c), rng)
+                                        for c in (basis.xis, basis.taus))
+    cells = {(bisect_left(basis.taus, t), bisect_left(basis.xis, x)) for t in t_in for x in x_in}
+    assert len(cells) == (len(basis.taus) + 1) * (len(basis.xis) + 1)
+    points = [(x, t) for t in t_in for x in x_in] + [(x, t) for t in t_edges for x in x_edges]
+    xi, tau = np.array(points).T
     assert_table_matches_rows(basis, weights, xi, tau)
 
 
