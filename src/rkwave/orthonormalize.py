@@ -57,7 +57,7 @@ class GramFactor:
     block_inverses: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        low = np.array(self.L, dtype=float)
+        low = np.asarray(self.L, dtype=float)  # no copy: factor hands over its own L
         low.setflags(write=False)
         object.__setattr__(self, "L", low)
 

@@ -80,10 +80,14 @@ class Solution:
     last_update: float  # max |change of the collocation values| in the last sweep
     norm_history: np.ndarray = field(init=False)
     table: SeriesTable = field(init=False, repr=False)  # the series per grid cell
+    # (a, b, T, b - a, tolerance, d xi/dx) of the physical rectangle, read per evaluated point
+    frame: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
         self.table = series_table(self.basis, self.psi_weights)
+        m = self.hp.maps
+        self.frame = (m.a, m.b, m.T, m.b - m.a, 1e-9 * max(1.0, abs(m.b - m.a), m.T), m.dxi_dx)
 
 
 def _point_label(hp, xi: float, tau: float) -> str:
@@ -134,13 +138,11 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
 
 
 def _canonical_point(sol: Solution, x: float, t: float):
-    maps = sol.hp.maps
-    eps = 1e-9 * max(1.0, abs(maps.b - maps.a), maps.T)
-    if not (maps.a - eps <= x <= maps.b + eps) or not (-eps <= t <= maps.T + eps):
-        raise OutOfDomain(
-            f"({x}, {t}) outside [{maps.a}, {maps.b}] x [0, {maps.T}]"
-        )
-    return maps.to_canonical(x, t)
+    """``sol.hp.maps.to_canonical(x, t)``, same arithmetic; OutOfDomain off the rectangle."""
+    a, b, T, width, eps, _ = sol.frame
+    if not (a - eps <= x <= b + eps) or not (-eps <= t <= T + eps):
+        raise OutOfDomain(f"({x}, {t}) outside [{a}, {b}] x [0, {T}]")
+    return (x - a) / width, t / T
 
 
 def evaluate(sol: Solution, x: float, t: float) -> float:
@@ -152,7 +154,7 @@ def evaluate(sol: Solution, x: float, t: float) -> float:
 def evaluate_dx(sol: Solution, x: float, t: float) -> float:
     """Evaluate du/dx via the termwise-differentiated series plus lifting."""
     xi, tau = _canonical_point(sol, x, t)
-    return sol.table.value(xi, tau, dx=1) * sol.hp.maps.dxi_dx + sol.hp.lifting_x(x, t)
+    return sol.table.value(xi, tau, dx=1) * sol.frame[-1] + sol.hp.lifting_x(x, t)
 
 
 def solution_norm(sol: Solution) -> float:

@@ -24,9 +24,9 @@ Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
 one bivariate polynomial of degree 5 in each variable on each cell of the
 grid.  ``series_table`` tabulates it once in piecewise-polynomial form, a
 6x6 coefficient matrix per cell for the series and one for its
-xi-derivative, so ``SeriesTable.value`` costs two power vectors and one
-6x6 product at any N.  The last column of cells is expanded about xi = 1,
-which keeps the series exactly zero there.
+xi-derivative, so ``SeriesTable.value`` costs two bisections and one
+nested Horner sum over 36 floats at any N.  The last column of cells is
+expanded about xi = 1, which keeps the series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -115,11 +115,6 @@ def _sums_from(a: np.ndarray, axis: int) -> np.ndarray:
     return np.concatenate([tail, zero], axis=axis)
 
 
-# exponents of the power vectors (tau^p) and (s^q) that SeriesTable.value
-# contracts with a cell's 6x6 coefficient matrix
-_POWERS = np.arange(6)
-
-
 def _shift_to_one(coef: np.ndarray) -> np.ndarray:
     """Coefficients in s = x - 1 of the polynomials sum_p coef[p] x^p, one per column.
 
@@ -158,9 +153,15 @@ class SeriesTable:
     about xi = 1 makes that sum the s^0 coefficient, so the series stays
     exactly 0 at xi = 1 for any weights.  At xi = 0 and tau = 0 the zero
     holds by structure: the lower branches have exactly zero constant rows
-    and the first cell's other quadrants are empty sums.  The table holds
-    2 * 36 doubles per cell, (len(xs) + 1)(len(ts) + 1) cells, and a point
-    costs the same at any basis size.
+    and the first cell's other quadrants are empty sums.
+
+    ``value`` reads the cell's 36 coefficients as Python floats and sums
+    them by Horner's rule, in s within each row and then in tau across the
+    rows, with no numpy arithmetic per point.  At s = 0 each row reduces
+    to its s^0 entry and at tau = 0 the sum to row 0, so the exact zeros
+    above survive.  The table holds 2 * 36 doubles per cell,
+    (len(xs) + 1)(len(ts) + 1) cells, and a point costs the same at any
+    basis size.
     """
 
     xs: tuple[float, ...]
@@ -173,8 +174,11 @@ class SeriesTable:
             raise ValueError("dx must be 0 or 1")
         a = bisect_left(self.xs, xi)
         s = xi - 1.0 if a == len(self.xs) else xi
-        cell = self.poly[dx, bisect_left(self.ts, tau), a]
-        return float(tau ** _POWERS @ cell @ s ** _POWERS)
+        rows = self.poly[dx, bisect_left(self.ts, tau), a].tolist()
+        out = 0.0
+        for c0, c1, c2, c3, c4, c5 in reversed(rows):
+            out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
+        return float(out)
 
 
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:

@@ -9,6 +9,7 @@ from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
     SYMMETRY_TILE,
+    GramFactor,
     block_inverses,
     factor,
     solve_lower,
@@ -36,6 +37,12 @@ def test_identity_gram():
     bf = factor(np.eye(3))
     assert np.array_equal(bf.L, np.eye(3))
     assert bf.condition_estimate == pytest.approx(1.0, rel=1e-10)
+
+
+def test_gram_factor_takes_its_factor_without_a_copy():
+    # a 32x32 solve hands over an 8 MB L; it is frozen in place, not copied
+    low = np.linalg.cholesky(np.diag([4.0, 9.0]))
+    assert GramFactor(low, 1.0, ()).L is low and not low.flags.writeable
 
 
 def test_hand_checked_2x2():

@@ -5,6 +5,7 @@ import pytest
 
 from rkwave import kernels, problems, solver, wave_operator
 from rkwave.errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
+from rkwave.orthonormalize import SOLVE_BLOCK
 from rkwave.solver import CollocationSet, generate_collocation
 from rkwave.wave_operator import gram_matrix
 
@@ -149,23 +150,33 @@ def test_solve_builds_no_n_by_n_kernel_matrix(ex52_hp, monkeypatch):
 
 def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
     # one factorization per solve; the condition estimate and every sweep
-    # work from L, with no eigen-, singular-value or inverse computation
+    # work from L, with no eigen-, singular-value or inverse computation,
+    # and general solves only on diagonal blocks of L
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky, linalg_solve = np.linalg.cholesky, np.linalg.solve
 
     def counted(a):
         calls.append(a.shape)
         return cholesky(a)
 
+    def block_solve(a, b):
+        assert len(a) <= SOLVE_BLOCK, f"np.linalg.solve on a {np.shape(a)} matrix"
+        return linalg_solve(a, b)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("O(N^3) call outside the Cholesky")
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "solve", block_solve)
     for name in ("eigvalsh", "eigh", "inv", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     sol = solver.solve(ex52_hp, generate_collocation(16, 16))
     assert calls == [(256, 256)]
     assert sol.sweeps_used == 5 and np.isfinite(sol.beta.condition_estimate)
+
+
+def test_solution_factor_is_read_only(ex51_sol_9):
+    assert ex51_sol_9.beta.L.flags.writeable is False
 
 
 def test_evaluate_accuracy_benchmark(ex51, ex51_sol_9):

@@ -268,6 +268,31 @@ def test_series_table_matches_kernel_rows_in_every_cell(irregular):
     assert_table_matches_rows(basis, weights, xi, tau)
 
 
+@pytest.mark.parametrize("irregular", [False, True])
+def test_series_table_value_matches_the_pp_form_in_every_cell(irregular):
+    # the Horner sum in value against the plain contraction of the cell's
+    # coefficients with the power vectors, at a point inside every cell,
+    # on every coordinate line and at every corner, the last column included
+    rng = np.random.default_rng(17)
+    basis = random_grid(6, 8, rng) if irregular else make_basis(7, 6, alpha=0.6, gamma=1.7)
+    weights = rng.normal(size=len(basis)) * 10.0 ** rng.integers(0, 5, len(basis))
+    table = series_table(basis, weights)
+    (x_in, x_edges), (t_in, t_edges) = (cell_coordinates(np.array(c), rng)
+                                        for c in (basis.xis, basis.taus))
+    powers = np.arange(6)
+    last = len(table.xs)
+    for xi in np.concatenate([x_in, x_edges]).tolist():
+        for tau in np.concatenate([t_in, t_edges]).tolist():
+            a, b = bisect_left(table.xs, xi), bisect_left(table.ts, tau)
+            s = xi - 1.0 if a == last else xi
+            for dx in (0, 1):
+                cell = table.poly[dx, b, a]
+                got = table.value(xi, tau, dx)
+                assert type(got) is float
+                scale = np.abs(tau ** powers) @ np.abs(cell) @ np.abs(s ** powers)
+                assert abs(got - tau ** powers @ cell @ s ** powers) <= TABLE_RTOL * scale
+
+
 def test_series_table_just_outside_the_square():
     rng = np.random.default_rng(14)
     basis = make_basis(4, 4)
