@@ -26,7 +26,6 @@ from .problems import (
     ProblemSpec,
     Rectangle,
     builtin,
-    canonicalize,
     error_table,
     homogenize,
 )

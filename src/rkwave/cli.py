@@ -65,6 +65,8 @@ _EXPR_NAMES = {
     "abs": abs, "min": min, "max": max,
     "pi": math.pi, "e": math.e,
 }
+_ARITY = {name: (1, 1) for name, v in _EXPR_NAMES.items() if callable(v)}  # argument counts
+_ARITY.update(log=(1, 2), min=(2, math.inf), max=(2, math.inf))
 
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Call,
@@ -73,14 +75,25 @@ _ALLOWED_NODES = (
 )
 
 
+class _PowAsCall(ast.NodeTransformer):
+    """a ** b as pow(a, b), bound to math.pow: (-1) ** 0.5 raises ValueError, not a complex."""
+
+    def visit_BinOp(self, node):
+        node = self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("pow", ast.Load()), [node.left, node.right], [])
+        return node
+
+
 def compile_expression(src: str, variables=("x",)):
     """Compile a closed-form expression string into a float-valued callable.
 
     Only arithmetic, numbers (compiled as floats, so 9**9**9 overflows at once
-    instead of building a huge integer), the listed math functions, and the
-    given variable names are allowed.  Arithmetic failures at evaluation time
-    (division by zero, overflow, domain errors) come back as NaN so that
-    downstream finiteness checks can flag the offending point.
+    instead of building a huge integer), calls of the listed math functions
+    with argument counts they take, and the given variable names are allowed.
+    Arithmetic failures at evaluation time (division by zero, overflow, domain
+    errors, such as a negative number to a fractional power) come back as NaN
+    so that downstream finiteness checks can flag the offending point.
     """
     try:
         tree = ast.parse(src, mode="eval")
@@ -89,18 +102,20 @@ def compile_expression(src: str, variables=("x",)):
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigError(f"bad expression {src!r}: {type(node).__name__} not allowed")
-        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
-            raise ConfigError(f"bad expression {src!r}: only direct function calls allowed")
+        if isinstance(node, ast.Call):
+            low, high = _ARITY.get(getattr(node.func, "id", None), (1, 0))  # (1, 0): not callable
+            if not low <= len(node.args) <= high:
+                raise ConfigError(f"bad expression {src!r}: cannot call {ast.unparse(node)}")
         if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES and node.id not in variables:
             raise ConfigError(f"bad expression {src!r}: unknown name {node.id!r}")
         if isinstance(node, ast.Constant):
             if type(node.value) not in (int, float) or abs(node.value) > sys.float_info.max:
                 raise ConfigError(f"bad expression {src!r}: constants must be float numbers")
             node.value = float(node.value)
-    code = compile(tree, "<config>", "eval")
+    code = compile(ast.fix_missing_locations(_PowAsCall().visit(tree)), "<config>", "eval")
 
     def fn(*args):
-        scope = dict(_EXPR_NAMES)
+        scope = dict(_EXPR_NAMES, pow=math.pow)
         scope.update(zip(variables, args))
         try:
             return float(eval(code, {"__builtins__": {}}, scope))
@@ -302,12 +317,14 @@ def _output_paths(out: str, levels: int, fmt: str):
 def run(cfg: RunConfig) -> int:
     """Execute the configured solve(s) and write tables; returns an exit code.
 
-    Raises ConfigError before any solve when the directory of ``cfg.out``
-    does not exist or an output path is an existing directory.
+    Raises ConfigError before any solve when ``cfg.out`` names no file, its
+    directory does not exist or an output path is an existing directory.
     """
     grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
              for level in range(cfg.refinement_levels + 1)]
     if cfg.out is not None:
+        if not Path(cfg.out).name:
+            raise ConfigError(f"cannot write {cfg.out!r}: the output path names no file")
         if not Path(cfg.out).parent.is_dir():
             raise ConfigError(f"cannot write {cfg.out}: "
                               f"{Path(cfg.out).parent} is not an existing directory")

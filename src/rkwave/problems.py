@@ -1,4 +1,4 @@
-"""Problem definitions, canonicalization, homogenization, and error tables.
+"""Problem definitions, the rectangle's map to the unit square, homogenization, error tables.
 
 The target equation on a rectangle [a, b] x [0, T] is
 
@@ -16,21 +16,23 @@ homogeneous conditions and the forced equation L v = M(x, t, v),
 
     M(x, t, v) = -N(v + w) + s - w_tt + w_xx.
 
-Coordinates are then rescaled to the unit square, which turns the operator
-into alpha v_tautau - gamma v_xixi with alpha = 1/T^2, gamma = 1/(b-a)^2.
+Coordinates are then rescaled to the unit square, xi = (x-a)/(b-a) and
+tau = t/T, which turns the operator into alpha v_tautau - gamma v_xixi
+with alpha = 1/T^2, gamma = 1/(b-a)^2.  ``Rectangle`` owns that map and
+that operator; one whose operator floats cannot hold is a DegenerateDomain.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import solver
-from .errors import DegenerateDomain, IncompatibleCorners
+from .errors import DegenerateDomain, IncompatibleCorners, OutOfDomain
 from .wave_operator import WaveOperator
 
 CORNER_TOL = 1e-10
@@ -51,43 +53,38 @@ class Curve:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Space-time rectangle [a, b] x [0, T]."""
+    """Space-time rectangle [a, b] x [0, T], its map to the unit square and L there."""
 
     a: float
     b: float
     T: float
+    operator: WaveOperator = field(init=False, repr=False, compare=False)
+    margin: float = field(init=False, repr=False, compare=False)  # to_canonical's rounding slack
+    dxi_dx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        box = f"[{self.a}, {self.b}] x [0, {self.T}]"
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.T)):
-            raise DegenerateDomain(f"rectangle [{self.a}, {self.b}] x [0, {self.T}] is not finite")
+            raise DegenerateDomain(f"rectangle {box} is not finite")
         if not (self.b > self.a) or not (self.T > 0):
-            raise DegenerateDomain(f"degenerate rectangle [{self.a}, {self.b}] x [0, {self.T}]")
-
-
-@dataclass(frozen=True)
-class AffineMaps:
-    """Affine coordinate maps between a rectangle and the canonical square."""
-
-    a: float
-    b: float
-    T: float
-
-    @property
-    def dxi_dx(self) -> float:
-        return 1.0 / (self.b - self.a)
+            raise DegenerateDomain(f"degenerate rectangle {box}")
+        try:
+            op = WaveOperator(1.0 / self.T ** 2, 1.0 / (self.b - self.a) ** 2)
+        except (ValueError, ArithmeticError) as exc:
+            raise DegenerateDomain(f"rectangle {box} has no unit-square operator: {exc}") from None
+        object.__setattr__(self, "operator", op)
+        object.__setattr__(self, "margin", 1e-9 * max(1.0, self.b - self.a, self.T))
+        object.__setattr__(self, "dxi_dx", 1.0 / (self.b - self.a))
 
     def to_canonical(self, x: float, t: float):
-        return (x - self.a) / (self.b - self.a), t / self.T
+        """(xi, tau) of the point (x, t); OutOfDomain if it is more than ``margin`` off."""
+        a, b, T, eps = self.a, self.b, self.T, self.margin
+        if not (a - eps <= x <= b + eps) or not (-eps <= t <= T + eps):
+            raise OutOfDomain(f"({x}, {t}) outside [{a}, {b}] x [0, {T}]")
+        return (x - a) / (b - a), t / T
 
     def from_canonical(self, xi: float, tau: float):
         return self.a + (self.b - self.a) * xi, self.T * tau
-
-
-def canonicalize(domain: Rectangle):
-    """Maps to the unit square plus the rescaled operator coefficients."""
-    maps = AffineMaps(domain.a, domain.b, domain.T)
-    op = WaveOperator(alpha=1.0 / domain.T ** 2, gamma=1.0 / (domain.b - domain.a) ** 2)
-    return maps, op
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,9 @@ def _check_corners(p: ProblemSpec) -> None:
 
 @dataclass(frozen=True)
 class HomogenizedProblem:
-    """Canonical-square form of a problem: operator, lifting, and source M."""
+    """Canonical-square form of a problem: lifting and source M."""
 
     problem: ProblemSpec
-    operator: WaveOperator
-    maps: AffineMaps
     lifting: Callable[[float, float], float]
     lifting_x: Callable[[float, float], float]
     lifting_tt: Callable[[float, float], float]
@@ -141,7 +136,6 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
     _check_corners(p)
     a, b = p.domain.a, p.domain.b
     width = b - a
-    maps, op = canonicalize(p.domain)
     f, g, h1, h2 = p.f, p.g, p.h1, p.h2
     fa, fb = f.val(a), f.val(b)
     ga, gb = g.val(a), g.val(b)
@@ -169,7 +163,7 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
     source = p.source
 
     def m_fun(xi: float, tau: float, v: float) -> float:
-        x, t = maps.from_canonical(xi, tau)
+        x, t = p.domain.from_canonical(xi, tau)
         total = -w_tt(x, t) + w_xx(x, t)
         if source is not None:
             total += source(x, t)
@@ -177,7 +171,7 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
             total -= nonlin(v + w(x, t))
         return total
 
-    return HomogenizedProblem(p, op, maps, w, w_x, w_tt, w_xx, m_fun)
+    return HomogenizedProblem(p, w, w_x, w_tt, w_xx, m_fun)
 
 
 # --------------------------------------------------------------------------

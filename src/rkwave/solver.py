@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wave_operator
-from .errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
+from .errors import NonFiniteValue, NotPositiveDefinite
 from .kernels import closed_form_kernel
 from .orthonormalize import GramFactor, factor, solve_lower, solve_lower_t
 from .wave_operator import RepresenterBasis, SeriesTable, grid_coordinates, series_table
@@ -80,18 +80,14 @@ class Solution:
     last_update: float  # max |change of the collocation values| in the last sweep
     norm_history: np.ndarray = field(init=False)
     table: SeriesTable = field(init=False, repr=False)  # the series per grid cell
-    # (a, b, T, b - a, tolerance, d xi/dx) of the physical rectangle, read per evaluated point
-    frame: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
         self.table = series_table(self.basis, self.psi_weights)
-        m = self.hp.maps
-        self.frame = (m.a, m.b, m.T, m.b - m.a, 1e-9 * max(1.0, abs(m.b - m.a), m.T), m.dxi_dx)
 
 
 def _point_label(hp, xi: float, tau: float) -> str:
-    x, t = hp.maps.from_canonical(xi, tau)
+    x, t = hp.problem.domain.from_canonical(xi, tau)
     return f"collocation point (xi, tau) = ({xi}, {tau}), (x, t) = ({x}, {t})"
 
 
@@ -118,7 +114,7 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     """
     if outer_sweeps < 1:
         raise ValueError("outer_sweeps must be >= 1")
-    basis = RepresenterBasis(hp.operator, closed_form_kernel("R_spatial"),
+    basis = RepresenterBasis(hp.problem.domain.operator, closed_form_kernel("R_spatial"),
                              closed_form_kernel("r_temporal"), pts.xis, pts.taus)
     try:
         bf = factor(wave_operator.gram_matrix(basis))
@@ -137,24 +133,17 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     return Solution(basis, bf, b, c, hp, sweeps_used, update <= tol, update)
 
 
-def _canonical_point(sol: Solution, x: float, t: float):
-    """``sol.hp.maps.to_canonical(x, t)``, same arithmetic; OutOfDomain off the rectangle."""
-    a, b, T, width, eps, _ = sol.frame
-    if not (a - eps <= x <= b + eps) or not (-eps <= t <= T + eps):
-        raise OutOfDomain(f"({x}, {t}) outside [{a}, {b}] x [0, {T}]")
-    return (x - a) / width, t / T
-
-
 def evaluate(sol: Solution, x: float, t: float) -> float:
     """Evaluate the reconstructed solution u = v_n + w at a physical point."""
-    xi, tau = _canonical_point(sol, x, t)
+    xi, tau = sol.hp.problem.domain.to_canonical(x, t)
     return sol.table.value(xi, tau) + sol.hp.lifting(x, t)
 
 
 def evaluate_dx(sol: Solution, x: float, t: float) -> float:
     """Evaluate du/dx via the termwise-differentiated series plus lifting."""
-    xi, tau = _canonical_point(sol, x, t)
-    return sol.table.value(xi, tau, dx=1) * sol.frame[-1] + sol.hp.lifting_x(x, t)
+    domain = sol.hp.problem.domain
+    xi, tau = domain.to_canonical(x, t)
+    return sol.table.value(xi, tau, dx=1) * domain.dxi_dx + sol.hp.lifting_x(x, t)
 
 
 def solution_norm(sol: Solution) -> float:

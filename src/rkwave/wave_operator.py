@@ -50,8 +50,9 @@ class WaveOperator:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise ValueError("operator coefficients must be positive")
+        a, g = self.alpha, self.gamma  # gram_matrix forms a^2, a g and g^2; NaN fails
+        if not all(0.0 < v < np.inf for v in (a, g, a * a, a * g, g * g)):
+            raise ValueError(f"coefficients {a}, {g} and products must be positive and finite")
 
 
 def grid_coordinates(name: str, values) -> tuple[float, ...]:

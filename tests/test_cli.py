@@ -61,8 +61,15 @@ ZERO_DATA = "".join(f"{c}{d} = 0\n" for c in ("f", "g", "h1", "h2") for d in (""
     ("problem = ex51\neval_points =\n", "bad value for 'eval_points'"),
     ("problem = ex51\nsource = x\nnonlinearity = sin\n", "problem = ex51: source, nonlinearity"),
     ("problem = ex52\nT = 2\nexact = 0\nf = 1\n", "problem = ex52: T, exact, f"),
+    ("problem = ex52\na = -1e308\nb = 1e308\n", "has no unit-square operator"),
+    ("problem = custom\na = 0\nb = 1\nT = 1e200\n" + ZERO_DATA, "has no unit-square operator"),
+    ("problem = custom\na = 0\nb = 1e-170\nT = 1e-200\n" + ZERO_DATA,
+     "has no unit-square operator"),
+    ("problem = custom\na = 0\nb = 1e-150\nT = 1e150\n" + ZERO_DATA,
+     "has no unit-square operator"),
 ], ids=["ex52_a_-inf", "custom_b_inf", "tol_nan", "tol_inf", "empty_eval_points",
-        "ex51_custom_keys", "ex52_custom_keys"])
+        "ex51_custom_keys", "ex52_custom_keys", "gamma_zero", "alpha_overflow",
+        "operator_underflow", "gamma_squared_overflow"])
 def test_config_error_exits_2_without_output(tmp_path, capsys, body, message):
     out = tmp_path / "o.csv"
     assert cli.main([str(write(tmp_path, body + f"nx = 2\nnt = 2\nout = {out}\n"))]) == 2
@@ -79,6 +86,12 @@ def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monke
     assert cli.main([str(write(tmp_path, body + f"out = {missing}\n", "a.cfg"))]) == 2
     assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", str(missing)]) == 2
     assert capsys.readouterr().err.count(f"config error: cannot write {missing}") == 2
+    # an output path that names no file
+    for out in ("", "/"):
+        assert cli.main([str(write(tmp_path, body + f"out = {out}\n", "a.cfg"))]) == 2
+        assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", out]) == 2
+        assert capsys.readouterr().err.count(f"cannot write {out!r}: the output path names "
+                                             "no file") == 2
     assert solves == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
@@ -112,7 +125,14 @@ def test_expression_compiler_guards():
         cli.compile_expression("y + 1", ("x",))
     with pytest.raises(ConfigError):
         cli.compile_expression("lambda: 1", ("x",))
+    # calls of a value or with an argument count the function cannot take
+    for src in ("pi(x)", "x(1)", "sin(x, x)", "sin()", "min(x)"):
+        with pytest.raises(ConfigError, match="cannot call"):
+            cli.compile_expression(src, ("x",))
     assert math.isnan(cli.compile_expression("1/x", ("x",))(0.0))
+    # a fractional power of a negative number is NaN, not a complex number
+    for src in ("(x - 0.5)**0.5", "abs((x - 0.5)**0.5)"):
+        assert math.isnan(cli.compile_expression(src, ("x",))(0.2))
 
 
 def test_expression_constants_must_be_numbers():
@@ -298,17 +318,18 @@ def test_custom_problem_matches_builtin(tmp_path):
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # the source expression blows up exactly at a collocation point
+    # the source expression blows up exactly at a collocation point, or is
+    # NaN there as a fractional power of a negative number
     body = (
         "problem = custom\na = 0\nb = 1\nT = 1\n"
         "f = 0\nf_d1 = 0\nf_d2 = 0\n"
         "g = 0\ng_d1 = 0\ng_d2 = 0\n"
         "h1 = 0\nh1_d1 = 0\nh1_d2 = 0\n"
         "h2 = 0\nh2_d1 = 0\nh2_d2 = 0\n"
-        "source = 1/(x - 1/3)\n"
         "nx = 2\nnt = 2\n")
-    assert cli.main([str(write(tmp_path, body))]) == 3
-    assert "solver.solve" in capsys.readouterr().err
+    for source in ("1/(x - 1/3)", "(x - 0.5)**0.5"):
+        assert cli.main([str(write(tmp_path, body + f"source = {source}\n"))]) == 3
+        assert "solver.solve" in capsys.readouterr().err
 
 
 def test_seconds_column_without_exact_solution(tmp_path):

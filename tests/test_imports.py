@@ -22,7 +22,7 @@ PUBLIC_API = [
     "GramFactor", "HomogenizedProblem", "IncompatibleCorners", "NonFiniteValue",
     "NotPositiveDefinite", "OutOfDomain", "PiecewiseKernel", "ProblemSpec", "Rectangle",
     "RepresenterBasis", "SingularSystem", "Solution", "SpaceSpec", "WaveOperator", "builtin",
-    "canonicalize", "closed_form_kernel", "derive_kernel_oracle", "error_table", "errors",
+    "closed_form_kernel", "derive_kernel_oracle", "error_table", "errors",
     "eval_kernel_grid", "evaluate", "evaluate_dx", "factor", "generate_collocation",
     "gram_matrix", "homogenize", "kernels", "orthonormalize", "problems", "solution_norm",
     "solve", "solver", "space_spec", "wave_operator",

@@ -12,7 +12,6 @@ from rkwave.problems import (
     ProblemSpec,
     Rectangle,
     builtin,
-    canonicalize,
     error_table,
     homogenize,
 )
@@ -22,14 +21,15 @@ from oracles import apply_L
 
 
 def test_canonicalize_examples():
-    maps, op = canonicalize(Rectangle(0.0, 1.0, 1.0))
+    op = Rectangle(0.0, 1.0, 1.0).operator
     assert (op.alpha, op.gamma) == (1.0, 1.0)
-    maps, op = canonicalize(Rectangle(0.0, 2.0, 4.0))
+    domain = Rectangle(0.0, 2.0, 4.0)
+    op = domain.operator
     assert op.alpha == pytest.approx(1 / 16)
     assert op.gamma == pytest.approx(1 / 4)
     x, t = 1.37, 2.91
-    xi, tau = maps.to_canonical(x, t)
-    xb, tb = maps.from_canonical(xi, tau)
+    xi, tau = domain.to_canonical(x, t)
+    xb, tb = domain.from_canonical(xi, tau)
     assert abs(xb - x) < 1e-15 and abs(tb - t) < 1e-15
 
 
@@ -41,6 +41,13 @@ def test_degenerate_domain():
     for a, b, T in ((-math.inf, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.inf),
                     (math.nan, 1.0, 1.0)):
         with pytest.raises(DegenerateDomain):
+            Rectangle(a, b, T)
+    # finite rectangles whose unit-square operator is not representable:
+    # T^2 overflows; T^2 and (b-a)^2 underflow to 0; b - a overflows, so
+    # gamma = 0; alpha gamma is finite but gamma^2 overflows
+    for a, b, T in ((0.0, 1.0, 1e200), (0.0, 1e-170, 1e-200), (-1e308, 1e308, 1.0),
+                    (0.0, 1e-150, 1e150)):
+        with pytest.raises(DegenerateDomain, match="has no unit-square operator"):
             Rectangle(a, b, T)
 
 

@@ -213,12 +213,21 @@ def test_evaluate_dx(ex51, ex51_hp, ex51_sol_9):
     assert solver.evaluate_dx(sol, 0.3, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_domain_guard(ex51_sol_9):
+def test_domain_guard(ex51_sol_9, ex52_sol_9):
     with pytest.raises(OutOfDomain):
         solver.evaluate(ex51_sol_9, 1.2, 0.5)
     with pytest.raises(OutOfDomain):
         solver.evaluate_dx(ex51_sol_9, 0.5, -0.2)
     solver.evaluate(ex51_sol_9, 1.0, 1.0)  # corners included
+    # twice the rounding margin past the edges x = a, x = b, t = 0 and t = T
+    for sol in (ex51_sol_9, ex52_sol_9):
+        d = sol.hp.problem.domain
+        off = 2 * d.margin
+        for x, t in ((d.a - off, 0.5), (d.b + off, 0.5), (0.5 * (d.a + d.b), -off),
+                     (0.5 * (d.a + d.b), d.T + off)):
+            for ev in (solver.evaluate, solver.evaluate_dx):
+                with pytest.raises(OutOfDomain):
+                    ev(sol, x, t)
 
 
 def test_non_finite_source_detected(ex51):
@@ -243,7 +252,7 @@ def test_degenerate_points_rejected(ex51_hp, ex52_hp):
     assert f"(x, t) = ({0.5 + 1e-15}, 0.5)" in str(exc.value)
     with pytest.raises(NotPositiveDefinite) as exc:
         solver.solve(ex52_hp, pts)
-    x, t = ex52_hp.maps.from_canonical(0.5 + 1e-15, 0.5)
+    x, t = ex52_hp.problem.domain.from_canonical(0.5 + 1e-15, 0.5)
     assert exc.value.index == 1 and f"(x, t) = ({x}, {t})" in str(exc.value)
 
 
@@ -260,14 +269,14 @@ def test_converged_flag(ex51_hp, ex52_hp):
 def test_evaluate_matches_kernel_rows_inside_the_margin(ex52_sol_9):
     # points up to the domain guard's tolerance outside the rectangle
     sol = ex52_sol_9
-    maps = sol.hp.maps
-    eps = 0.5e-9 * max(1.0, maps.b - maps.a, maps.T)
+    domain = sol.hp.problem.domain
+    eps = domain.margin / 2
     w = sol.psi_weights
-    for x, t in ((maps.b + eps, 0.5), (maps.a - eps, 0.5), (0.3, maps.T + eps),
-                 (0.3, -eps), (maps.b + eps, -eps), (maps.a - eps, maps.T + eps)):
-        xi, tau = maps.to_canonical(x, t)
+    for x, t in ((domain.b + eps, 0.5), (domain.a - eps, 0.5), (0.3, domain.T + eps),
+                 (0.3, -eps), (domain.b + eps, -eps), (domain.a - eps, domain.T + eps)):
+        xi, tau = domain.to_canonical(x, t)
         for dx, ev, lift, slope in ((0, solver.evaluate, sol.hp.lifting, 1.0),
-                                    (1, solver.evaluate_dx, sol.hp.lifting_x, maps.dxi_dx)):
+                                    (1, solver.evaluate_dx, sol.hp.lifting_x, domain.dxi_dx)):
             row = psi_rows(sol.basis, xi, tau, dx)[0]
             expect = float(row @ w) * slope + lift(x, t)
             scale = float((np.abs(row) + 1.0) @ np.abs(w)) * slope + abs(lift(x, t))

@@ -45,10 +45,11 @@ def random_grid(nx, nt, rng, alpha=0.8, gamma=1.9):
 
 
 def test_operator_validation():
-    with pytest.raises(ValueError):
-        WaveOperator(0.0, 1.0)
-    with pytest.raises(ValueError):
-        WaveOperator(1.0, -2.0)
+    # the coefficients and the products gram_matrix forms must be positive and finite
+    for alpha, gamma in ((0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.inf),
+                         (1.0, 0.0), (1e-300, 1e300), (1e200, 1.0), (1.0, 1e-170)):
+        with pytest.raises(ValueError):
+            WaveOperator(alpha, gamma)
 
 
 def test_basis_requires_order3_kernels():
