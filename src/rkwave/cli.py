@@ -323,7 +323,7 @@ def run(cfg: RunConfig) -> int:
     grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
              for level in range(cfg.refinement_levels + 1)]
     if cfg.out is not None:
-        if not Path(cfg.out).name:
+        if Path(cfg.out).name in ("", ".."):
             raise ConfigError(f"cannot write {cfg.out!r}: the output path names no file")
         if not Path(cfg.out).parent.is_dir():
             raise ConfigError(f"cannot write {cfg.out}: "

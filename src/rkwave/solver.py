@@ -13,9 +13,11 @@ A = L L^T and beta = L^{-1} that is the collocation system
 whose right-hand side depends on the solution values Psi c at the points.
 Each sweep evaluates m at the previous sweep's values (zero at the start),
 solves the two triangular systems against L and updates the values,
-until they stop moving.  For M independent of v the first sweep is exact
-and the second merely confirms it.  (The paper's sequential recursion
-B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k)) has the same fixed point.)
+until they stop moving; m takes one M call per point, and M memoizes its
+v-independent part per point (``problems.homogenize``).  For M independent
+of v the first sweep is exact and the second merely confirms it.  (The
+paper's sequential recursion B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k))
+has the same fixed point.)
 
 The collocation points are a tensor grid off the dead edges xi = 0, 1 and
 tau = 0, where every representer vanishes (the paper's first point, the
@@ -92,12 +94,13 @@ def _point_label(hp, xi: float, tau: float) -> str:
 
 
 def _source_values(hp, pts, vals: np.ndarray) -> np.ndarray:
-    """M at each collocation point; the first non-finite value raises, naming its point."""
-    m = np.empty(len(pts))
-    for i, ((xi, tau), v) in enumerate(zip(pts, vals)):
-        m[i] = hp.M(xi, tau, float(v))
-        if not np.isfinite(m[i]):
-            raise NonFiniteValue(f"source term returned {m[i]} at {_point_label(hp, xi, tau)}")
+    """M at every point in one pass; then the first non-finite value raises, naming its point."""
+    M = hp.M
+    m = np.array([M(xi, tau, v) for (xi, tau), v in zip(pts, vals.tolist())], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        i = bad[0]
+        raise NonFiniteValue(f"source term returned {m[i]} at {_point_label(hp, *pts[i])}")
     return m
 
 

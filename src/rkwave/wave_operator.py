@@ -233,25 +233,23 @@ def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
 
         A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
 
-    The terms are written in that order into one (nt, nx, nt, nx) buffer,
-    with one scratch array, so assembly holds two N x N arrays at a time.
+    A is written one time row j at a time, each (nx, nt, nx) slab through one
+    slab of scratch by the elementwise operations of the four np.kron products
+    in that order, so assembly holds one N x N array and rounds as the formula does.
     """
     r, t = basis.kernel_matrices
     a, g = basis.operator.alpha, basis.operator.gamma
     nt, nx = len(basis.taus), len(basis.xis)
-    out, term = np.empty((nt, nx, nt, nx)), np.empty((nt, nx, nt, nx))
-
-    def kron(tm, rm, dest):  # dest[j, i, l, k] = tm[j, l] rm[i, k], as np.kron
-        np.multiply(tm[:, None, :, None], rm[None, :, None, :], out=dest)
-
-    kron(t[0, 2], r[2, 0], out)
-    kron(t[2, 0], r[0, 2], term)
-    out += term
-    out *= a * g
-    kron(t[2, 2], a * a * r[0, 0], term)
-    np.subtract(term, out, out=out)
-    kron(t[0, 0], g * g * r[2, 2], term)
-    out += term
+    out, term = np.empty((nt, nx, nt, nx)), np.empty((nx, nt, nx))
+    t02, t20, t22, t00 = (m[:, None, :, None] for m in (t[0, 2], t[2, 0], t[2, 2], t[0, 0]))
+    r20, r02, r00, r22 = (m[:, None, :] for m in (r[2, 0], r[0, 2], a * a * r[0, 0],
+                                                  g * g * r[2, 2]))
+    for j, row in enumerate(out):  # row[i, l, k] = t..[j, l] r..[i, k], as np.kron
+        np.multiply(t02[j], r20, out=row)
+        row += np.multiply(t20[j], r02, out=term)
+        row *= a * g
+        np.subtract(np.multiply(t22[j], r00, out=term), row, out=row)
+        row += np.multiply(t00[j], r22, out=term)
     return out.reshape(nt * nx, nt * nx)
 
 

@@ -79,6 +79,7 @@ def test_config_error_exits_2_without_output(tmp_path, capsys, body, message):
 
 
 def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "nowhere" / "t.csv"
     solves = []
     monkeypatch.setattr(cli.solver, "solve", lambda *args, **kwargs: solves.append(args))
@@ -86,8 +87,8 @@ def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monke
     assert cli.main([str(write(tmp_path, body + f"out = {missing}\n", "a.cfg"))]) == 2
     assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", str(missing)]) == 2
     assert capsys.readouterr().err.count(f"config error: cannot write {missing}") == 2
-    # an output path that names no file
-    for out in ("", "/"):
+    # an output path that names no file; ".." would write "...csv" beside it
+    for out in ("", "/", "..", f"{tmp_path}/.."):
         assert cli.main([str(write(tmp_path, body + f"out = {out}\n", "a.cfg"))]) == 2
         assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", out]) == 2
         assert capsys.readouterr().err.count(f"cannot write {out!r}: the output path names "

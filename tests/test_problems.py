@@ -133,6 +133,32 @@ def test_homogenize_trivial():
     assert hp.M(0.25, 0.5, 0.7) == pytest.approx(0.25 * 0.5 - math.sin(0.7), abs=1e-15)
 
 
+@pytest.mark.parametrize("example", ["ex51", "ex52"])
+def test_memoized_M_gives_the_bits_of_a_first_call(example):
+    # M keeps its v-independent part per point; once solves have filled that
+    # memo, every call still gives the bits of a fresh problem's first call
+    # and of the formula of M in its order of operations
+    hp = homogenize(builtin(example))
+    points = [pt for n in (8, 16)
+              for pt in solver.solve(hp, solver.generate_collocation(n, n)).basis.points]
+    p = hp.problem
+    for v in (0.0, 0.3, -2.0):
+        fresh = homogenize(builtin(example))
+        want = [fresh.M(xi, tau, v).hex() for xi, tau in points]
+        for _ in range(2):
+            assert [hp.M(xi, tau, v).hex() for xi, tau in points] == want
+        formula = []
+        for xi, tau in points:
+            x, t = p.domain.from_canonical(xi, tau)
+            total = -hp.lifting_tt(x, t) + hp.lifting_xx(x, t)
+            if p.source is not None:
+                total += p.source(x, t)
+            if p.nonlinearity is not None:
+                total -= p.nonlinearity(v + hp.lifting(x, t))
+            formula.append(total.hex())
+        assert formula == want
+
+
 def test_lifting_matches_all_data():
     p = builtin("ex52")
     hp = homogenize(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -239,6 +240,27 @@ def test_non_finite_source_detected(ex51):
     hp = problems.homogenize(p)
     with pytest.raises(NonFiniteValue):
         solver.solve(hp, generate_collocation(2, 2))
+
+
+def test_non_finite_source_names_the_first_bad_point(ex52_hp):
+    # M is evaluated at every point before the check; the failure still names
+    # the first bad point in the j nx + i order, not the first in xi or in time
+    pts = generate_collocation(4, 3)
+    xis, taus = pts.xis, pts.taus
+    bad = {(xis[0], taus[2]): math.nan, (xis[2], taus[1]): -math.inf,
+           (xis[3], taus[1]): math.nan}
+    calls = []
+
+    def m(xi, tau, v):
+        calls.append((xi, tau))
+        return bad.get((xi, tau), ex52_hp.M(xi, tau, v))
+
+    with pytest.raises(NonFiniteValue) as exc:
+        solver.solve(dataclasses.replace(ex52_hp, M=m), pts)
+    x, t = ex52_hp.problem.domain.from_canonical(xis[2], taus[1])
+    assert str(exc.value) == ("source term returned -inf at collocation point "
+                              f"(xi, tau) = ({xis[2]}, {taus[1]}), (x, t) = ({x}, {t})")
+    assert len(calls) == 12  # one pass, one call per point
 
 
 def test_degenerate_points_rejected(ex51_hp, ex52_hp):

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -181,6 +182,21 @@ def test_gram_matrix_is_the_kron_formula_bit_for_bit():
                 - a * g * (np.kron(t[0, 2], r[2, 0]) + np.kron(t[2, 0], r[0, 2]))
                 + np.kron(t[0, 0], g * g * r[2, 2]))
         assert np.array_equal(gram_matrix(basis), kron)
+
+
+def test_gram_assembly_holds_one_n_by_n_array():
+    # A is written one time row at a time through one slab of scratch; the
+    # basis caches its 1-D kernel matrices, so they are built before tracing
+    basis = make_basis(32, 32)
+    basis.kernel_matrices
+    n = len(basis)
+    tracemalloc.start()
+    try:
+        gram_matrix(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_collocation_values_match_the_representer_matrix():
