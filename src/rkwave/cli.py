@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import problems, solver
-from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite
+from .errors import ConfigError, NonFiniteValue, NotPositiveDefinite, OutOfDomain
 from .problems import (Curve, ErrorReport, ErrorRow, ProblemSpec, Rectangle, builtin,
                        error_table)
 from .solver import generate_collocation
@@ -56,15 +56,10 @@ def _summary_row(level: int, nx: int, nt: int, sol: solver.Solution, report: Err
             str(sol.sweeps_used), f"{seconds:.6f}"]
 
 
-_EXPR_NAMES = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "asin": math.asin, "acos": math.acos, "atan": math.atan, "arctan": math.atan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "sech": lambda v: 1.0 / math.cosh(v),
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "abs": abs, "min": min, "max": max,
-    "pi": math.pi, "e": math.e,
-}
+_EXPR_NAMES = {name: getattr(math, name) for name in (
+    "sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp", "log", "sqrt",
+    "pi", "e")}
+_EXPR_NAMES.update(arctan=math.atan, sech=problems.sech, abs=abs, min=min, max=max)
 _ARITY = {name: (1, 1) for name, v in _EXPR_NAMES.items() if callable(v)}  # argument counts
 _ARITY.update(log=(1, 2), min=(2, math.inf), max=(2, math.inf))
 
@@ -219,7 +214,10 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """The rules that span keys; each key's own range is checked by its parser."""
+    """The rules that span keys; each key's own range is checked by its parser.
+
+    An eval point must be one that ``Rectangle.to_canonical`` accepts.
+    """
     if cfg.eval_points is not None and cfg.eval_grid is not None:
         raise ConfigError("eval_points and eval_grid are mutually exclusive")
     if cfg.problem != "custom" and cfg.custom:
@@ -239,16 +237,15 @@ def _validate(cfg: RunConfig) -> None:
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.problem} problem rejected: {exc}") from None
     for x, t in cfg.eval_points or ():
-        if not (domain.a <= x <= domain.b and 0.0 <= t <= domain.T):
-            raise ConfigError(f"eval point ({x}, {t}) lies outside "
-                              f"[{domain.a}, {domain.b}] x [0, {domain.T}]")
+        try:
+            domain.to_canonical(x, t)
+        except OutOfDomain as exc:
+            raise ConfigError(f"eval point {exc}") from None
 
 
 def _build_problem(cfg: RunConfig) -> ProblemSpec:
-    if cfg.problem == "ex51":
-        return builtin("ex51")
-    if cfg.problem == "ex52":
-        return builtin("ex52", a=cfg.a, b=cfg.b)
+    if cfg.problem != "custom":
+        return builtin(cfg.problem, a=cfg.a, b=cfg.b)
     c = cfg.custom
 
     def curve(prefix: str, variable: str) -> Curve:
@@ -273,16 +270,15 @@ def _build_problem(cfg: RunConfig) -> ProblemSpec:
 
 
 def _eval_points(cfg: RunConfig, domain: Rectangle) -> list[tuple[float, float]]:
+    """The configured points, else a uniform grid or ten diagonal points of the unit
+    square, x fastest, mapped onto the rectangle by ``from_canonical``."""
     if cfg.eval_points is not None:
         return list(cfg.eval_points)
     if cfg.eval_grid is not None:
         gx, gt = cfg.eval_grid
-        xs = [domain.a + i * (domain.b - domain.a) / (gx - 1) for i in range(gx)]
-        ts = [j * domain.T / (gt - 1) for j in range(gt)]
-        return [(x, t) for t in ts for x in xs]
-    # default: ten diagonal points scaled to the rectangle
-    return [(domain.a + k * (domain.b - domain.a) / 10, k * domain.T / 10)
-            for k in range(1, 11)]
+        return [domain.from_canonical(i / (gx - 1), j / (gt - 1))
+                for j in range(gt) for i in range(gx)]
+    return [domain.from_canonical(k / 10, k / 10) for k in range(1, 11)]
 
 
 def resolved_config_text(cfg: RunConfig) -> str:

@@ -111,9 +111,7 @@ def _sums_below(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _sums_from(a: np.ndarray, axis: int) -> np.ndarray:
     """out[k] = sum of a[m] over m >= k along ``axis``, k = 0..n; out[n] is exactly 0."""
-    zero = np.zeros_like(np.take(a, [0], axis=axis))
-    tail = np.flip(np.cumsum(np.flip(a, axis), axis=axis), axis)
-    return np.concatenate([tail, zero], axis=axis)
+    return np.flip(_sums_below(np.flip(a, axis), axis), axis)
 
 
 def _shift_to_one(coef: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rkwave import cli
+from rkwave import cli, problems
 from rkwave.errors import ConfigError
 
 
@@ -67,9 +67,10 @@ ZERO_DATA = "".join(f"{c}{d} = 0\n" for c in ("f", "g", "h1", "h2") for d in (""
      "has no unit-square operator"),
     ("problem = custom\na = 0\nb = 1e-150\nT = 1e150\n" + ZERO_DATA,
      "has no unit-square operator"),
+    ("problem = ex51\na = 0.25\nb = 3\n", "ex51 is fixed on [0, 1]"),
 ], ids=["ex52_a_-inf", "custom_b_inf", "tol_nan", "tol_inf", "empty_eval_points",
         "ex51_custom_keys", "ex52_custom_keys", "gamma_zero", "alpha_overflow",
-        "operator_underflow", "gamma_squared_overflow"])
+        "operator_underflow", "gamma_squared_overflow", "ex51_rectangle"])
 def test_config_error_exits_2_without_output(tmp_path, capsys, body, message):
     out = tmp_path / "o.csv"
     assert cli.main([str(write(tmp_path, body + f"nx = 2\nnt = 2\nout = {out}\n"))]) == 2
@@ -134,6 +135,61 @@ def test_expression_compiler_guards():
     # a fractional power of a negative number is NaN, not a complex number
     for src in ("(x - 0.5)**0.5", "abs((x - 0.5)**0.5)"):
         assert math.isnan(cli.compile_expression(src, ("x",))(0.2))
+
+
+def test_expression_sech_is_the_problems_sech(tmp_path):
+    assert cli._EXPR_NAMES["sech"] is problems.sech
+    assert cli.compile_expression("sech(x)", ("x",))(800.0) == 0.0
+    # cosh overflows at x = 800; the ex52 boundary data there is sech(800) = 0
+    cfg = write(tmp_path, "problem = ex52\na = -800\nb = 800\nnx = 2\nnt = 2\n")
+    assert cli.main([str(cfg)]) == 0
+
+
+def test_eval_points_within_the_margin_are_accepted(tmp_path, capsys):
+    # ex51 is [0, 1] x [0, 1], whose margin is 1e-9
+    margin = problems.builtin("ex51").domain.margin
+    for k, accepted in ((0.5, True), (2.0, False)):
+        for x, t in ((1 + k * margin, 0.5), (0.5, 1 + k * margin), (-k * margin, 0.5),
+                     (0.5, -k * margin)):
+            body = f"problem = ex51\nnx = 2\nnt = 2\neval_points = {x!r},{t!r}\n"
+            code = cli.main([str(write(tmp_path, body))])
+            captured = capsys.readouterr()
+            if accepted:
+                assert code == 0, captured.err
+                assert f"\n{x:.17g},{t:.17g}," in captured.out
+            else:
+                assert code == 2 and captured.out == ""
+                assert captured.err.startswith(f"config error: eval point ({x}, {t}) outside")
+
+
+def test_eval_grid_and_default_points_on_the_builtins_keep_their_bits(tmp_path):
+    for problem in ("ex51", "ex52"):
+        for grid in (None, (2, 2), (3, 7), (11, 11), (101, 101)):
+            body = f"problem = {problem}\n" + (f"eval_grid = {grid[0]},{grid[1]}\n" if grid
+                                                else "")
+            cfg = cli.parse_config(write(tmp_path, body))
+            d = cli._build_problem(cfg).domain
+            if grid is None:  # ten diagonal points
+                want = [(d.a + k * (d.b - d.a) / 10, k * d.T / 10) for k in range(1, 11)]
+            else:
+                gx, gt = grid
+                want = [(d.a + i * (d.b - d.a) / (gx - 1), j * d.T / (gt - 1))
+                        for j in range(gt) for i in range(gx)]
+            got = cli._eval_points(cfg, d)
+            assert [(x.hex(), t.hex()) for x, t in got] == [(x.hex(), t.hex()) for x, t in want]
+
+
+def test_eval_grid_on_a_custom_rectangle_is_the_mapped_unit_grid(tmp_path):
+    cfg = cli.parse_config(write(tmp_path, "problem = custom\na = 0.1\nb = 0.7\nT = 3\n"
+                                 + ZERO_DATA + "eval_grid = 11,11\n"))
+    d = cli._build_problem(cfg).domain
+    got = cli._eval_points(cfg, d)
+    assert got == [d.from_canonical(i / 10, j / 10) for j in range(11) for i in range(11)]
+    assert got[0] == (0.1, 0.0) and len(got) == 121
+    for x, t in got:
+        d.to_canonical(x, t)  # inside the margin
+    cfg.eval_grid = None
+    assert cli._eval_points(cfg, d) == [d.from_canonical(k / 10, k / 10) for k in range(1, 11)]
 
 
 def test_expression_constants_must_be_numbers():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,19 @@ def test_corner_compatibility_enforced():
                     f=Curve.zero(),
                     g=Curve(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0),
                     h1=Curve.zero(), h2=Curve.zero())
+
+
+def test_replace_runs_the_corner_check():
+    # homogenize does not check corners again: every ProblemSpec, replaced ones too, is checked
+    with pytest.raises(IncompatibleCorners):
+        dataclasses.replace(builtin("ex51"), f=Curve(lambda x: 1.0, lambda x: 0.0,
+                                                     lambda x: 0.0))
+
+
+def test_sech_is_one_over_cosh_and_zero_past_its_overflow():
+    for x in np.linspace(-710.0, 710.0, 14201):
+        assert problems.sech(float(x)).hex() == (1.0 / math.cosh(float(x))).hex()
+    assert problems.sech(800.0) == 0.0 and problems.sech(-800.0) == 0.0
 
 
 def test_nan_corner_data_is_incompatible():
