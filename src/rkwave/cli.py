@@ -137,6 +137,8 @@ class RunConfig:
     eval_points: list[tuple[float, float]] | None = None
     eval_grid: tuple[int, int] | None = None
     custom: dict[str, str] = field(default_factory=dict)
+    # the problem these keys build, set by parse_config; not a config key
+    spec: ProblemSpec | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _checked(convert, ok, requirement: str):
@@ -209,12 +211,12 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    _validate(cfg)
+    cfg.spec = _validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
-    """The rules that span keys; each key's own range is checked by its parser.
+def _validate(cfg: RunConfig) -> ProblemSpec:
+    """The rules that span keys (each key's own range is its parser's); returns the problem.
 
     An eval point must be one that ``Rectangle.to_canonical`` accepts.
     """
@@ -233,14 +235,15 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.custom.get("nonlinearity", "none") not in ("sin", "none"):
             raise ConfigError("nonlinearity must be sin or none")
     try:
-        domain = _build_problem(cfg).domain  # surfaces expression errors too
+        spec = _build_problem(cfg)  # surfaces expression errors too
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.problem} problem rejected: {exc}") from None
     for x, t in cfg.eval_points or ():
         try:
-            domain.to_canonical(x, t)
+            spec.domain.to_canonical(x, t)
         except OutOfDomain as exc:
             raise ConfigError(f"eval point {exc}") from None
+    return spec
 
 
 def _build_problem(cfg: RunConfig) -> ProblemSpec:
@@ -311,7 +314,7 @@ def _output_paths(out: str, levels: int, fmt: str):
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured solve(s) and write tables; returns an exit code.
+    """Execute the solve(s) of a ``parse_config`` result and write tables; returns an exit code.
 
     Raises ConfigError before any solve when ``cfg.out`` names no file, its
     directory does not exist or an output path is an existing directory.
@@ -328,7 +331,7 @@ def run(cfg: RunConfig) -> int:
         for path in (*table_paths, summary_path):
             if path.is_dir():
                 raise ConfigError(f"cannot write {path}: it is a directory")
-    problem = _build_problem(cfg)
+    problem = cfg.spec
     pts_eval = _eval_points(cfg, problem.domain)
     hp = problems.homogenize(problem)
 

@@ -10,12 +10,14 @@ per right-hand side: each diagonal block is a product with its inverse,
 formed once per factor and refined by one more product, and the coupling
 to the blocks already solved is one BLAS product.
 
-L comes from LAPACK in double precision and is the only O(N^3) step.  The
-condition number of A is estimated from a few solves against L (Hager's
-1-norm estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's dlacn2), so
-it costs O(N^2) as well.  A pivot failure reports *which* leading minor
-broke: for collocation Gram matrices that index points at the first
-degenerate collocation point.
+L comes from LAPACK in double precision and is the only O(N^3) step.  As
+in LAPACK, only one triangle of A is read, and symmetry is the caller's
+precondition, not a check (``gram_matrix`` builds A bitwise symmetric).
+The condition number of A is estimated from a few solves against L
+(Hager's 1-norm estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's
+dlacn2), so it costs O(N^2) as well.  A pivot failure reports *which*
+leading minor broke: for collocation Gram matrices that index points at
+the first degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ PIVOT_RTOL = 1e-12
 # Rows per diagonal block of the triangular solves.  Each block's inverse is
 # one small LAPACK solve per factor; the solves themselves are BLAS products.
 SOLVE_BLOCK = 32
-
-# Rows and columns of the tile pairs compared by the symmetry check, which
-# then needs no N x N temporary.
-SYMMETRY_TILE = 128
 
 # Iterations of the 1-norm estimate, counting the first, as in dlacn2.
 ESTIMATE_ITERATIONS = 5
@@ -62,53 +60,29 @@ class GramFactor:
         object.__setattr__(self, "L", low)
 
 
-def _check_symmetric(gram: np.ndarray) -> np.ndarray:
-    a = np.asarray(gram, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("gram matrix must be square with n >= 1")
-    n, t = a.shape[0], SYMMETRY_TILE
-    scale = skew = 0.0
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
-            peaks = float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))
-            # a NaN or inf entry makes its tile's peak NaN or inf
-            if not np.all(np.isfinite(peaks)):
-                raise ValueError("gram matrix must be finite")
-            scale = max(scale, *peaks)
-            skew = max(skew, float(np.max(np.abs(upper - lower.T))))
-    if not skew <= 1e-10 * max(1.0, scale):
-        raise ValueError("gram matrix must be symmetric")
-    return a
-
-
-def _first_small_pivot(low: np.ndarray, thresh: float) -> int | None:
-    small = np.flatnonzero(np.diag(low) ** 2 <= thresh)
-    return int(small[0]) if small.size else None
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    thresh = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """numpy.linalg.cholesky(m), from m's lower triangle; NotPositiveDefinite names the
+    first pivot not above PIVOT_RTOL times the largest diagonal, else the first LAPACK refuses."""
     try:
-        low = np.linalg.cholesky(a)
+        low, bad = np.linalg.cholesky(m), None
     except np.linalg.LinAlgError:
         # A leading minor factors only if every smaller one does, so the
         # first failing pivot is found by bisecting over the minor sizes;
         # ``low`` ends as the factor of the largest minor that factors.
-        good, bad = 0, a.shape[0]
+        good, bad = 0, m.shape[0]
         low = np.zeros((0, 0))
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
-                low = np.linalg.cholesky(a[:mid, :mid])
+                low = np.linalg.cholesky(m[:mid, :mid])
                 good = mid
             except np.linalg.LinAlgError:
                 bad = mid
-        j = _first_small_pivot(low, thresh)
-        raise NotPositiveDefinite(bad - 1 if j is None else j) from None
-    j = _first_small_pivot(low, thresh)
-    if j is not None:
-        raise NotPositiveDefinite(j)
+    small = np.flatnonzero(np.diag(low) ** 2 <= PIVOT_RTOL * max(float(np.max(np.diag(m))), 0.0))
+    if small.size:
+        raise NotPositiveDefinite(int(small[0]))
+    if bad is not None:
+        raise NotPositiveDefinite(bad - 1)
     return low
 
 
@@ -155,15 +129,23 @@ def factor(gram) -> GramFactor:
 
     Computes A = L L^T with LAPACK and returns L together with the
     inverses of its diagonal blocks and an O(N^2) estimate of cond_1(A)
-    from solves against L (see GramFactor).  Raises
+    from solves against L (see GramFactor).  A must be symmetric: as in
+    LAPACK, one triangle is factored, here the upper one (L is
+    numpy.linalg.cholesky of A^T), and the strict lower triangle is not
+    read or checked, except by ||A||_1 in the estimate.  Raises
     NotPositiveDefinite(k) when the k-th pivot is not above PIVOT_RTOL
-    times the largest diagonal entry, and ValueError for input that is not
-    square, symmetric and finite.
+    times the largest diagonal entry, and ValueError for input that is
+    not square or whose 1-norm is not finite (a NaN or inf entry).
     """
-    a = _check_symmetric(gram)
-    low = _cholesky(a)
+    a = np.asarray(gram, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError("gram matrix must be square with n >= 1")
+    norm = float(np.linalg.norm(a, 1))
+    if not np.isfinite(norm):  # a NaN or inf entry makes the norm NaN or inf
+        raise ValueError("gram matrix must be finite")
+    low = _cholesky(a.T)  # F-contiguous: numpy hands it to LAPACK without transposing
     blocks = block_inverses(low)
-    return GramFactor(low, float(np.linalg.norm(a, 1)) * _inverse_norm1(low, blocks), blocks)
+    return GramFactor(low, norm * _inverse_norm1(low, blocks), blocks)
 
 
 def block_inverses(low: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -20,13 +20,14 @@ which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 The collocation points form a tensor grid and every term is a space factor
 times a time factor, so A and the series values at the points are built
 from 1-D kernel matrices on the grid coordinates, never an N x N one.
+Each symmetric quantity among them is computed once, so A = A^T exactly.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
 one bivariate polynomial of degree 5 in each variable on each cell of the
-grid.  ``series_table`` tabulates it once in piecewise-polynomial form, a
-6x6 coefficient matrix per cell for the series and one for its
-xi-derivative, so ``SeriesTable.value`` costs two bisections and one
-nested Horner sum over 36 floats at any N.  The last column of cells is
-expanded about xi = 1, which keeps the series exactly zero there.
+grid.  ``series_table`` tabulates it once in piecewise-polynomial form,
+one 6x6 coefficient matrix per cell for the series and its xi-derivative,
+so ``SeriesTable.value`` costs two bisections and one nested Horner sum
+over 36 floats at any N.  The last column of cells is expanded about
+xi = 1, which keeps the series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import PiecewiseKernel, _deriv_matrix, eval_kernel_grid
+from .kernels import PiecewiseKernel, eval_kernel_grid
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,17 @@ class RepresenterBasis:
 
     @cached_property
     def kernel_matrices(self) -> tuple[dict, dict]:
-        """(R, T): R[p, q][k, l] = d^p_x d^q_y R(xis[k], xis[l]), p, q in {0, 2}; T on taus."""
-        return tuple({(p, q): eval_kernel_grid(k, c, c, p, q) for p in (0, 2) for q in (0, 2)}
-                     for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)))
+        """(R, T): R[p, q][k, l] = d^p_x d^q_y R(xis[k], xis[l]), p, q in {0, 2}; T on taus.
+
+        The kernels are symmetric: [0, 0] and [2, 2] are mirrored from their lower
+        triangle and [2, 0] is [0, 2] transposed, so ``gram_matrix`` is bitwise symmetric.
+        """
+        out = []
+        for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)):
+            m00, m02, m22 = (eval_kernel_grid(k, c, c, p, q) for p, q in ((0, 0), (0, 2), (2, 2)))
+            m00, m22 = (np.tril(m) + np.tril(m, -1).T for m in (m00, m22))
+            out.append({(0, 0): m00, (0, 2): m02, (2, 0): m02.T, (2, 2): m22})
+        return tuple(out)
 
 
 def _sums_below(a: np.ndarray, axis: int) -> np.ndarray:
@@ -140,10 +149,8 @@ class SeriesTable:
     kernel branch in time iff j >= b and in space iff i >= a, exactly the
     x <= y rule of ``eval_kernel_grid``.  On each cell the series is one
     bivariate polynomial of degree 5 in each variable (the pp-form of a
-    spline), and ``poly[dx, b, a]`` holds the coefficients of its dx-th
-    xi-derivative: entry [p, q] multiplies tau^p s^q, so
-
-        d^dx v / dxi^dx (xi, tau) = (tau^p)_p^T poly[dx, b, a] (s^q)_q.
+    spline), and ``poly[b, a]`` holds its coefficients: entry [p, q]
+    multiplies tau^p s^q, and q times it multiplies tau^p s^(q-1) in dv/dxi.
 
     s is xi in every column of cells but the last, a = len(xs), past the
     last coordinate, where s = xi - 1.  There every basis point is on the
@@ -155,10 +162,11 @@ class SeriesTable:
     and the first cell's other quadrants are empty sums.
 
     ``value`` reads the cell's 36 coefficients as Python floats and sums
-    them by Horner's rule, in s within each row and then in tau across the
-    rows, with no numpy arithmetic per point.  At s = 0 each row reduces
-    to its s^0 entry and at tau = 0 the sum to row 0, so the exact zeros
-    above survive.  The table holds 2 * 36 doubles per cell,
+    them by Horner's rule with no numpy arithmetic per point: v in s
+    within each row and then in tau across the rows, dv/dxi in tau down
+    each column q >= 1 and then in s with the factors q.  At s = 0 each
+    row of v reduces to its s^0 entry and at tau = 0 the sum to row 0, so
+    the exact zeros above survive.  The table holds 36 doubles per cell,
     (len(xs) + 1)(len(ts) + 1) cells, and a point costs the same at any
     basis size.
     """
@@ -173,11 +181,17 @@ class SeriesTable:
             raise ValueError("dx must be 0 or 1")
         a = bisect_left(self.xs, xi)
         s = xi - 1.0 if a == len(self.xs) else xi
-        rows = self.poly[dx, bisect_left(self.ts, tau), a].tolist()
-        out = 0.0
-        for c0, c1, c2, c3, c4, c5 in reversed(rows):
-            out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
-        return float(out)
+        rows = self.poly[bisect_left(self.ts, tau), a].tolist()
+        if dx == 0:
+            out = 0.0
+            for c0, c1, c2, c3, c4, c5 in reversed(rows):
+                out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
+            return float(out)
+        d1 = d2 = d3 = d4 = d5 = 0.0
+        for _, c1, c2, c3, c4, c5 in reversed(rows):
+            d1, d2, d3 = d1 * tau + c1, d2 * tau + c2, d3 * tau + c3
+            d4, d5 = d4 * tau + c4, d5 * tau + c5
+        return float(d1 + s * (2 * d2 + s * (3 * d3 + s * (4 * d4 + s * 5 * d5))))
 
 
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
@@ -196,8 +210,8 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     branch pair gives a 12x12 block per cell (quadrant (s, r)), each
     quadrant its own cumulative sum, so a quadrant with no basis points is
     exactly zero and no cancellation reaches the dead edges.  The time
-    branches (6x12) and then the dx-th xi-derivative of the space branches
-    are folded into each block, leaving the 6x6 coefficient matrices.
+    branches (6x12) and then the space branches are folded into each
+    block, leaving the 6x6 coefficient matrices.
     """
     xs, ts = np.array(basis.xis), np.array(basis.taus)
     c = np.reshape(weights, (len(ts), len(xs)))
@@ -217,12 +231,10 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
             blocks[:, :, rows, cols] = t_sums(x_sums(terms, 1), 0)
     rk, tk = basis.space_kernel, basis.time_kernel
     folded = np.hstack([tk.upper, tk.lower]) @ blocks  # row p multiplies tau^p
-    poly = np.empty((2, len(ts) + 1, len(xs) + 1, 6, 6))
-    for dx in (0, 1):
-        space = np.zeros((6, 12))  # row p multiplies xi^p
-        space[:6 - dx] = np.hstack([_deriv_matrix(m, dx, 0) for m in (rk.upper, rk.lower)])
-        poly[dx, :, :-1] = folded[:, :-1] @ space.T
-        poly[dx, :, -1] = folded[:, -1] @ _shift_to_one(space).T
+    space = np.hstack([rk.upper, rk.lower])  # row p multiplies xi^p
+    poly = np.empty((len(ts) + 1, len(xs) + 1, 6, 6))
+    poly[:, :-1] = folded[:, :-1] @ space.T
+    poly[:, -1] = folded[:, -1] @ _shift_to_one(space).T
     return SeriesTable(basis.xis, basis.taus, poly)
 
 

@@ -374,6 +374,22 @@ def test_custom_problem_matches_builtin(tmp_path):
     assert float(row_c[3]) == pytest.approx(float(row_b[3]), abs=1e-12)
 
 
+def test_each_problem_is_built_once_per_run(tmp_path, capsys, monkeypatch):
+    # parse_config validates the keys by building the problem; run reuses it
+    calls = []
+    build = cli._build_problem
+
+    def counted(cfg):
+        calls.append(cfg.problem)
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "_build_problem", counted)
+    body = "problem = custom\na = 0\nb = 1\nT = 1\n" + ZERO_DATA + "source = x*t\nnx = 2\nnt = 2\n"
+    assert cli.main([str(write(tmp_path, body))]) == 0
+    assert calls == ["custom"]
+    assert "# summary" in capsys.readouterr().out
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # the source expression blows up exactly at a collocation point, or is
     # NaN there as a fractional power of a negative number

@@ -8,7 +8,6 @@ from rkwave.kernels import closed_form_kernel
 from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
-    SYMMETRY_TILE,
     GramFactor,
     block_inverses,
     factor,
@@ -134,38 +133,45 @@ def test_tiny_pivot_before_a_failing_one_is_reported_first():
     assert exc.value.index == 2
 
 
-def test_nonsymmetric_rejected():
-    with pytest.raises(ValueError):
-        factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+def mirrored(a):
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def test_factor_reads_only_the_upper_triangle():
+    # as in LAPACK, one triangle is read and symmetry is the caller's
+    # precondition: finite garbage below the diagonal leaves L alone, and
+    # on a symmetric matrix L is numpy's own factor of it, bit for bit
+    rng = np.random.default_rng(9)
+    for a in (mirrored(spd_8x8()), make_gram(8, 8)[1]):
+        garbage = np.triu(a) + np.tril(rng.uniform(-1e3, 1e3, a.shape), -1)
+        low = factor(a).L
+        assert np.array_equal(factor(garbage).L, low)
+        assert np.array_equal(low, np.linalg.cholesky(a))
+
+
+def test_pivot_failure_reads_only_the_upper_triangle():
+    # the bisection over the leading minors reads the same triangle
+    a = spd_8x8()
+    low = np.linalg.cholesky(a)
+    low[5, 5] = np.sqrt(0.5 * PIVOT_RTOL * np.max(np.diag(a)))
+    a = mirrored(low @ low.T)
+    a[6, 6] -= 2.0 * low[6, 6] ** 2
+    garbage = np.triu(a) + np.tril(np.full(a.shape, 50.0), -1)
+    for m in (a, garbage):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            factor(m)
+        assert exc.value.index == 5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_gram_rejected(bad):
     # NaN compares false with every bound and inf overflows the pivot test,
-    # so both must be stopped before the symmetry check and the factor
+    # so both must be stopped before the factor
     for a in ([[bad]], np.diag([1.0, bad]), [[1.0, bad], [bad, 1.0]]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 factor(a)
-
-
-def test_symmetry_check_reads_every_tile_pair():
-    # entries inside and across the tiles, with the 1e-10 relative
-    # threshold on max|A| taken over all entries
-    n = 2 * SYMMETRY_TILE + 3
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((n, n))
-    base = m @ m.T + n * np.eye(n)
-    base[n - 1, n - 1] = 1e3 * np.max(np.abs(base))
-    scale = np.max(np.abs(base))
-    for i, j in ((1, 0), (SYMMETRY_TILE, SYMMETRY_TILE - 1), (n - 1, 0), (n - 1, n - 2)):
-        a = base.copy()
-        a[i, j] += 0.5e-10 * scale
-        factor(a)
-        a[i, j] += 1.0e-10 * scale
-        with pytest.raises(ValueError, match="symmetric"):
-            factor(a)
 
 
 def test_condition_estimate_diagonal():

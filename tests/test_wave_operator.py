@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rkwave.kernels import closed_form_kernel
+from rkwave.problems import builtin
 from rkwave.wave_operator import (
     RepresenterBasis,
     WaveOperator,
@@ -184,6 +185,23 @@ def test_gram_matrix_is_the_kron_formula_bit_for_bit():
         assert np.array_equal(gram_matrix(basis), kron)
 
 
+@pytest.mark.parametrize("grid", ["3x3", "8x5 ex52 on [-3, 5]", "16x16", "irregular 5x4"])
+def test_gram_matrix_is_bitwise_symmetric(grid):
+    # the symmetric 1-D kernel matrices are mirrored and R20, T20 are the
+    # transposes of R02, T02, so A equals A^T exactly; factor relies on it
+    if grid == "irregular 5x4":
+        basis = random_grid(5, 4, np.random.default_rng(24))
+    elif grid.startswith("8x5"):
+        op = builtin("ex52", a=-3.0, b=5.0).domain.operator
+        assert (op.alpha, op.gamma) != (1.0, 1.0)
+        basis = make_basis(8, 5, op.alpha, op.gamma)
+    else:
+        n = int(grid.split("x")[0])
+        basis = make_basis(n, n)
+    A = gram_matrix(basis)
+    assert np.array_equal(A, A.T)
+
+
 def test_gram_assembly_holds_one_n_by_n_array():
     # A is written one time row at a time through one slab of scratch; the
     # basis caches its 1-D kernel matrices, so they are built before tracing
@@ -254,7 +272,7 @@ def test_series_table_matches_kernel_rows_on_an_irregular_grid():
     weights = rng.normal(size=len(basis))
     table = series_table(basis, weights)
     assert (table.xs, table.ts) == (basis.xis, basis.taus)
-    assert table.poly.shape == (2, 6, 8, 6, 6)
+    assert table.poly.shape == (6, 8, 6, 6)
     xi = np.concatenate([rng.random(100), basis.xs, basis.xs])
     tau = np.concatenate([rng.random(100), basis.ts, basis.ts[::-1]])
     assert_table_matches_rows(basis, weights, xi, tau)
@@ -289,21 +307,22 @@ def test_series_table_matches_kernel_rows_in_every_cell(irregular):
 def test_series_table_value_matches_the_pp_form_in_every_cell(irregular):
     # the Horner sum in value against the plain contraction of the cell's
     # coefficients with the power vectors, at a point inside every cell,
-    # on every coordinate line and at every corner, the last column included
+    # on every coordinate line and at every corner, the last column included;
+    # dv/dxi contracts the same block shifted one column left, times q
     rng = np.random.default_rng(17)
     basis = random_grid(6, 8, rng) if irregular else make_basis(7, 6, alpha=0.6, gamma=1.7)
     weights = rng.normal(size=len(basis)) * 10.0 ** rng.integers(0, 5, len(basis))
     table = series_table(basis, weights)
     (x_in, x_edges), (t_in, t_edges) = (cell_coordinates(np.array(c), rng)
                                         for c in (basis.xis, basis.taus))
-    powers = np.arange(6)
+    powers, zeros = np.arange(6), np.zeros((6, 1))
     last = len(table.xs)
     for xi in np.concatenate([x_in, x_edges]).tolist():
         for tau in np.concatenate([t_in, t_edges]).tolist():
             a, b = bisect_left(table.xs, xi), bisect_left(table.ts, tau)
             s = xi - 1.0 if a == last else xi
-            for dx in (0, 1):
-                cell = table.poly[dx, b, a]
+            block = table.poly[b, a]
+            for dx, cell in ((0, block), (1, np.hstack([block[:, 1:] * powers[1:], zeros]))):
                 got = table.value(xi, tau, dx)
                 assert type(got) is float
                 scale = np.abs(tau ** powers) @ np.abs(cell) @ np.abs(s ** powers)
