@@ -80,16 +80,8 @@ class _PowAsCall(ast.NodeTransformer):
         return node
 
 
-def compile_expression(src: str, variables=("x",)):
-    """Compile a closed-form expression string into a float-valued callable.
-
-    Only arithmetic, numbers (compiled as floats, so 9**9**9 overflows at once
-    instead of building a huge integer), calls of the listed math functions
-    with argument counts they take, and the given variable names are allowed.
-    Arithmetic failures at evaluation time (division by zero, overflow, domain
-    errors, such as a negative number to a fractional power) come back as NaN
-    so that downstream finiteness checks can flag the offending point.
-    """
+def _checked_code(src: str, variables):
+    """The code of ``src`` once it passes the checks ``compile_expression`` lists."""
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -107,7 +99,24 @@ def compile_expression(src: str, variables=("x",)):
             if type(node.value) not in (int, float) or abs(node.value) > sys.float_info.max:
                 raise ConfigError(f"bad expression {src!r}: constants must be float numbers")
             node.value = float(node.value)
-    code = compile(ast.fix_missing_locations(_PowAsCall().visit(tree)), "<config>", "eval")
+    return compile(ast.fix_missing_locations(_PowAsCall().visit(tree)), "<config>", "eval")
+
+
+def compile_expression(src: str, variables=("x",)):
+    """Compile a closed-form expression string into a float-valued callable.
+
+    Only arithmetic, numbers (compiled as floats, so 9**9**9 overflows at once
+    instead of building a huge integer), calls of the listed math functions
+    with argument counts they take, and the given variable names are allowed.
+    One nested too deeply to parse or compile (a 600-term sum) is a ConfigError.
+    Arithmetic failures at evaluation time (division by zero, overflow, domain
+    errors, such as a negative number to a fractional power) come back as NaN
+    so that downstream finiteness checks can flag the offending point.
+    """
+    try:
+        code = _checked_code(src, variables)
+    except (RecursionError, MemoryError):
+        raise ConfigError(f"bad expression {src!r}: nested too deeply") from None
 
     def fn(*args):
         scope = dict(_EXPR_NAMES, pow=math.pow)

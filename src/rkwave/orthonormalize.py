@@ -140,7 +140,8 @@ def factor(gram) -> GramFactor:
     a = np.asarray(gram, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("gram matrix must be square with n >= 1")
-    norm = float(np.linalg.norm(a, 1))
+    norm = float(np.max(sum(np.abs(a[k:k + SOLVE_BLOCK]).sum(axis=0)  # no N x N |A|
+                            for k in range(0, len(a), SOLVE_BLOCK))))
     if not np.isfinite(norm):  # a NaN or inf entry makes the norm NaN or inf
         raise ValueError("gram matrix must be finite")
     low = _cholesky(a.T)  # F-contiguous: numpy hands it to LAPACK without transposing

@@ -23,11 +23,12 @@ from 1-D kernel matrices on the grid coordinates, never an N x N one.
 Each symmetric quantity among them is computed once, so A = A^T exactly.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
 one bivariate polynomial of degree 5 in each variable on each cell of the
-grid.  ``series_table`` tabulates it once in piecewise-polynomial form,
-one 6x6 coefficient matrix per cell for the series and its xi-derivative,
-so ``SeriesTable.value`` costs two bisections and one nested Horner sum
-over 36 floats at any N.  The last column of cells is expanded about
-xi = 1, which keeps the series exactly zero there.
+grid.  ``series_table`` tabulates it once, as the coefficient form of the
+``collocation_values`` product: one 6x6 coefficient matrix per cell for
+the series and its xi-derivative, so ``SeriesTable.value`` costs two
+bisections and one nested Horner sum over 36 floats at any N.  The last
+column of cells is expanded about xi = 1, which keeps the series exactly
+zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -112,17 +113,6 @@ class RepresenterBasis:
         return tuple(out)
 
 
-def _sums_below(a: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] = sum of a[m] over m < k along ``axis``, k = 0..n; out[0] is exactly 0."""
-    zero = np.zeros_like(np.take(a, [0], axis=axis))
-    return np.concatenate([zero, np.cumsum(a, axis=axis)], axis=axis)
-
-
-def _sums_from(a: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] = sum of a[m] over m >= k along ``axis``, k = 0..n; out[n] is exactly 0."""
-    return np.flip(_sums_below(np.flip(a, axis), axis), axis)
-
-
 def _shift_to_one(coef: np.ndarray) -> np.ndarray:
     """Coefficients in s = x - 1 of the polynomials sum_p coef[p] x^p, one per column.
 
@@ -143,23 +133,22 @@ def _shift_to_one(coef: np.ndarray) -> np.ndarray:
 class SeriesTable:
     """The series v = sum_k c_k Psi_k in piecewise-polynomial form on the coordinate grid.
 
-    ``xs`` and ``ts`` are the grid coordinates, ascending.  A point
-    (xi, tau) lies in cell (b, a) with b = bisect_left(ts, tau) and
-    a = bisect_left(xs, xi), so basis point (ts[j], xs[i]) sits on the lower
-    kernel branch in time iff j >= b and in space iff i >= a, exactly the
-    x <= y rule of ``eval_kernel_grid``.  On each cell the series is one
+    ``xis`` and ``taus`` are the grid coordinates, ascending.  A point
+    (xi, tau) lies in cell (b, a) with b = bisect_left(taus, tau) and
+    a = bisect_left(xis, xi), so basis point (taus[j], xis[i]) sits on the
+    lower kernel branch in time iff j >= b and in space iff i >= a, exactly
+    the x <= y rule of ``eval_kernel_grid``.  On each cell the series is one
     bivariate polynomial of degree 5 in each variable (the pp-form of a
     spline), and ``poly[b, a]`` holds its coefficients: entry [p, q]
     multiplies tau^p s^q, and q times it multiplies tau^p s^(q-1) in dv/dxi.
 
-    s is xi in every column of cells but the last, a = len(xs), past the
-    last coordinate, where s = xi - 1.  There every basis point is on the
-    upper space branch, whose value at xi = 1 is exactly 0 only as the
-    Horner sum polished by ``kernels._polish_columns_at_one``; expanding
-    about xi = 1 makes that sum the s^0 coefficient, so the series stays
-    exactly 0 at xi = 1 for any weights.  At xi = 0 and tau = 0 the zero
-    holds by structure: the lower branches have exactly zero constant rows
-    and the first cell's other quadrants are empty sums.
+    s is xi in every column of cells but the last, a = len(xis), where
+    s = xi - 1.  There every basis point is on the upper space branch,
+    whose value at xi = 1 is exactly 0 only as the Horner sum polished by
+    ``kernels._polish_columns_at_one``; expanding about xi = 1 makes that
+    sum the s^0 coefficient, so v is exactly 0 at xi = 1.  At xi = 0 and
+    tau = 0 it is exactly 0 because the first column and row of cells use
+    only lower branches, whose constant rows are exactly zero.
 
     ``value`` reads the cell's 36 coefficients as Python floats and sums
     them by Horner's rule with no numpy arithmetic per point: v in s
@@ -167,21 +156,21 @@ class SeriesTable:
     each column q >= 1 and then in s with the factors q.  At s = 0 each
     row of v reduces to its s^0 entry and at tau = 0 the sum to row 0, so
     the exact zeros above survive.  The table holds 36 doubles per cell,
-    (len(xs) + 1)(len(ts) + 1) cells, and a point costs the same at any
+    (len(xis) + 1)(len(taus) + 1) cells, and a point costs the same at any
     basis size.
     """
 
-    xs: tuple[float, ...]
-    ts: tuple[float, ...]
+    xis: tuple[float, ...]
+    taus: tuple[float, ...]
     poly: np.ndarray = field(repr=False)
 
     def value(self, xi: float, tau: float, dx: int = 0) -> float:
         """d^dx/dxi^dx of the series at a canonical point."""
         if dx not in (0, 1):
             raise ValueError("dx must be 0 or 1")
-        a = bisect_left(self.xs, xi)
-        s = xi - 1.0 if a == len(self.xs) else xi
-        rows = self.poly[bisect_left(self.ts, tau), a].tolist()
+        a = bisect_left(self.xis, xi)
+        s = xi - 1.0 if a == len(self.xis) else xi
+        rows = self.poly[bisect_left(self.taus, tau), a].tolist()
         if dx == 0:
             out = 0.0
             for c0, c1, c2, c3, c4, c5 in reversed(rows):
@@ -197,45 +186,26 @@ class SeriesTable:
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     """Tabulate sum_k weights[k] Psi_k for ``SeriesTable.value``.
 
-    Writing a kernel branch as sum_pq C[p, q] x^p y^q, the representer's
-    parameter derivatives fall on the powers of y alone: with
-    V(y) = (y^q) and V''(y) = (q (q-1) y^(q-2)) over q = 0..5,
-
-        Psi_ji(xi, tau) = g_s(tau)^T [alpha V''(ts[j]) V(xs[i])^T
-                                      - gamma V(ts[j]) V''(xs[i])^T] h_r(xi),
-
-    where g_s(tau) = C_s^T (tau^p) and h_r(xi) = C_r^T (xi^p) for the time
-    branch s and space branch r that basis point (j, i) uses in the cell.
-    Summing the bracket with the weights c_ji over the basis points of each
-    branch pair gives a 12x12 block per cell (quadrant (s, r)), each
-    quadrant its own cumulative sum, so a quadrant with no basis points is
-    exactly zero and no cancellation reaches the dead edges.  The time
-    branches (6x12) and then the space branches are folded into each
-    block, leaving the 6x6 coefficient matrices.
+    As in ``collocation_values`` it is alpha T2 C X0^T - gamma T0 C X2^T, but
+    each kernel matrix holds kernel sections cell by cell: row 6 b + p,
+    column j of T0 is the tau^p coefficient of r(tau, taus[j]) in time cell
+    b, from the lower branch iff j >= b, and T2 holds those of d2r/ds2.  X0
+    and X2 hold the s^q ones of R and d2R/dy2 in the space cells, s = xi - 1
+    past the last xi.  Row block b, column block a is ``poly[b, a]``.
     """
-    xs, ts = np.array(basis.xis), np.array(basis.taus)
-    c = np.reshape(weights, (len(ts), len(xs)))
-    q = np.arange(6)
-
-    def powers(y):  # V(y) and V''(y), one row per coordinate
-        return y[:, None] ** q, q * (q - 1) * y[:, None] ** np.maximum(q - 2, 0)
-
-    (vt, vt2), (vx, vx2) = powers(ts), powers(xs)
-    op = basis.operator
-    terms = c[:, :, None, None] * (op.alpha * vt2[:, None, :, None] * vx[None, :, None, :]
-                                   - op.gamma * vt[:, None, :, None] * vx2[None, :, None, :])
-    blocks = np.empty((len(ts) + 1, len(xs) + 1, 12, 12))
-    halves = ((slice(0, 6), _sums_below), (slice(6, 12), _sums_from))  # upper, lower
-    for rows, t_sums in halves:
-        for cols, x_sums in halves:
-            blocks[:, :, rows, cols] = t_sums(x_sums(terms, 1), 0)
     rk, tk = basis.space_kernel, basis.time_kernel
-    folded = np.hstack([tk.upper, tk.lower]) @ blocks  # row p multiplies tau^p
-    space = np.hstack([rk.upper, rk.lower])  # row p multiplies xi^p
-    poly = np.empty((len(ts) + 1, len(xs) + 1, 6, 6))
-    poly[:, :-1] = folded[:, :-1] @ space.T
-    poly[:, -1] = folded[:, -1] @ _shift_to_one(space).T
-    return SeriesTable(basis.xis, basis.taus, poly)
+    sections = []  # T0, T2, X0, X2
+    for k, coords, last in ((tk, basis.taus, tk.upper), (rk, basis.xis, _shift_to_one(rk.upper))):
+        y, q = np.array(coords), np.arange(6)[:, None]
+        lower = np.arange(len(y)) >= np.arange(len(y))[:, None, None]  # [b, 0, j], b < n
+        for v in (y ** q, q * (q - 1) * y ** np.maximum(q - 2, 0)):  # y_j^q and its d2/dy2
+            cells = np.where(lower, k.lower @ v, k.upper @ v).reshape(-1, len(y))
+            sections.append(np.concatenate([cells, last @ v]))  # and the cell past y[-1]
+    t0, t2, x0, x2 = sections
+    nt, nx = len(basis.taus), len(basis.xis)
+    c = np.reshape(weights, (nt, nx))
+    poly = basis.operator.alpha * t2 @ c @ x0.T - basis.operator.gamma * t0 @ c @ x2.T
+    return SeriesTable(basis.xis, basis.taus, poly.reshape(nt + 1, 6, nx + 1, 6).swapaxes(1, 2))
 
 
 def gram_matrix(basis: RepresenterBasis) -> np.ndarray:

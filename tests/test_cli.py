@@ -68,9 +68,11 @@ ZERO_DATA = "".join(f"{c}{d} = 0\n" for c in ("f", "g", "h1", "h2") for d in (""
     ("problem = custom\na = 0\nb = 1e-150\nT = 1e150\n" + ZERO_DATA,
      "has no unit-square operator"),
     ("problem = ex51\na = 0.25\nb = 3\n", "ex51 is fixed on [0, 1]"),
+    ("problem = custom\na = 0\nb = 1\nT = 1\n" + ZERO_DATA + "source = " + "+".join(["x"] * 600)
+     + "\n", "nested too deeply"),
 ], ids=["ex52_a_-inf", "custom_b_inf", "tol_nan", "tol_inf", "empty_eval_points",
         "ex51_custom_keys", "ex52_custom_keys", "gamma_zero", "alpha_overflow",
-        "operator_underflow", "gamma_squared_overflow", "ex51_rectangle"])
+        "operator_underflow", "gamma_squared_overflow", "ex51_rectangle", "deep_source"])
 def test_config_error_exits_2_without_output(tmp_path, capsys, body, message):
     out = tmp_path / "o.csv"
     assert cli.main([str(write(tmp_path, body + f"nx = 2\nnt = 2\nout = {out}\n"))]) == 2
@@ -135,6 +137,11 @@ def test_expression_compiler_guards():
     # a fractional power of a negative number is NaN, not a complex number
     for src in ("(x - 0.5)**0.5", "abs((x - 0.5)**0.5)"):
         assert math.isnan(cli.compile_expression(src, ("x",))(0.2))
+    # too deep to parse or compile: 600- and 20000-term sums, a 3000-deep power tower
+    for src in ("+".join(["x"] * 600), "+".join(["x"] * 20000), "**".join(["x"] * 3000)):
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            cli.compile_expression(src, ("x",))
+    assert cli.compile_expression("+".join(["x"] * 300), ("x",))(0.5) == 150.0
 
 
 def test_expression_sech_is_the_problems_sech(tmp_path):

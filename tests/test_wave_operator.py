@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rkwave.kernels import closed_form_kernel
-from rkwave.problems import builtin
+from rkwave.problems import builtin, homogenize
+from rkwave.solver import generate_collocation, solve
 from rkwave.wave_operator import (
     RepresenterBasis,
     WaveOperator,
@@ -271,7 +272,7 @@ def test_series_table_matches_kernel_rows_on_an_irregular_grid():
     basis = random_grid(7, 5, rng)
     weights = rng.normal(size=len(basis))
     table = series_table(basis, weights)
-    assert (table.xs, table.ts) == (basis.xis, basis.taus)
+    assert (table.xis, table.taus) == (basis.xis, basis.taus)
     assert table.poly.shape == (6, 8, 6, 6)
     xi = np.concatenate([rng.random(100), basis.xs, basis.xs])
     tau = np.concatenate([rng.random(100), basis.ts, basis.ts[::-1]])
@@ -316,10 +317,10 @@ def test_series_table_value_matches_the_pp_form_in_every_cell(irregular):
     (x_in, x_edges), (t_in, t_edges) = (cell_coordinates(np.array(c), rng)
                                         for c in (basis.xis, basis.taus))
     powers, zeros = np.arange(6), np.zeros((6, 1))
-    last = len(table.xs)
+    last = len(table.xis)
     for xi in np.concatenate([x_in, x_edges]).tolist():
         for tau in np.concatenate([t_in, t_edges]).tolist():
-            a, b = bisect_left(table.xs, xi), bisect_left(table.ts, tau)
+            a, b = bisect_left(table.xis, xi), bisect_left(table.taus, tau)
             s = xi - 1.0 if a == last else xi
             block = table.poly[b, a]
             for dx, cell in ((0, block), (1, np.hstack([block[:, 1:] * powers[1:], zeros]))):
@@ -341,8 +342,13 @@ def test_series_table_just_outside_the_square():
 
 def test_series_table_is_exactly_zero_on_the_dead_edges():
     rng = np.random.default_rng(15)
-    for basis in (make_basis(7, 6, alpha=0.3, gamma=4.0), random_grid(6, 9, rng)):
-        table = series_table(basis, rng.normal(size=len(basis)) * 1e4)
+    cases = [(basis, rng.normal(size=len(basis)) * 1e4)
+             for basis in (make_basis(7, 6, alpha=0.3, gamma=4.0), random_grid(6, 9, rng))]
+    for name in ("ex51", "ex52"):  # solved weights at real scale, up to 3.9e6
+        sol = solve(homogenize(builtin(name)), generate_collocation(32, 32))
+        cases.append((sol.basis, sol.psi_weights))
+    for basis, weights in cases:
+        table = series_table(basis, weights)
         line = np.concatenate([np.linspace(0.0, 1.0, 41), basis.xs, basis.ts])
         for s in line:
             assert table.value(0.0, s) == 0.0
