@@ -118,11 +118,11 @@ def compile_expression(src: str, variables=("x",)):
     except (RecursionError, MemoryError):
         raise ConfigError(f"bad expression {src!r}: nested too deeply") from None
 
+    names = dict(_EXPR_NAMES, pow=math.pow, __builtins__={})
+
     def fn(*args):
-        scope = dict(_EXPR_NAMES, pow=math.pow)
-        scope.update(zip(variables, args))
         try:
-            return float(eval(code, {"__builtins__": {}}, scope))
+            return float(eval(code, names, dict(zip(variables, args))))
         except (ZeroDivisionError, OverflowError, ValueError):
             return float("nan")
 

@@ -26,9 +26,10 @@ one bivariate polynomial of degree 5 in each variable on each cell of the
 grid.  ``series_table`` tabulates it once, as the coefficient form of the
 ``collocation_values`` product: one 6x6 coefficient matrix per cell for
 the series and its xi-derivative, so ``SeriesTable.value`` costs two
-bisections and one nested Horner sum over 36 floats at any N.  The last
-column of cells is expanded about xi = 1, which keeps the series exactly
-zero there.
+bisections, one dict lookup of the cell's rows as Python floats (converted
+on the cell's first visit) and one nested Horner sum over 36 floats at any
+N.  The last column of cells is expanded about xi = 1, which keeps the
+series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -158,11 +159,22 @@ class SeriesTable:
     the exact zeros above survive.  The table holds 36 doubles per cell,
     (len(xis) + 1)(len(taus) + 1) cells, and a point costs the same at any
     basis size.
+
+    The float rows, ``poly[b, a].tolist()``, are converted on a cell's first
+    visit and kept in ``_rows``, so a later point in that cell does no numpy
+    work; ``poly`` is read-only, so they cannot go stale.  They cost 36
+    floats as Python objects, about 1.6 KB per visited cell (1.7 KB with
+    its dict entry, by tracemalloc); converting every cell up front would
+    cost that for cells no point visits.
     """
 
     xis: tuple[float, ...]
     taus: tuple[float, ...]
     poly: np.ndarray = field(repr=False)
+    _rows: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.poly.setflags(write=False)  # the rows in _rows are copies of it
 
     def value(self, xi: float, tau: float, dx: int = 0) -> float:
         """d^dx/dxi^dx of the series at a canonical point."""
@@ -170,7 +182,10 @@ class SeriesTable:
             raise ValueError("dx must be 0 or 1")
         a = bisect_left(self.xis, xi)
         s = xi - 1.0 if a == len(self.xis) else xi
-        rows = self.poly[bisect_left(self.taus, tau), a].tolist()
+        cell = bisect_left(self.taus, tau), a
+        rows = self._rows.get(cell)
+        if rows is None:
+            rows = self._rows[cell] = self.poly[cell].tolist()
         if dx == 0:
             out = 0.0
             for c0, c1, c2, c3, c4, c5 in reversed(rows):

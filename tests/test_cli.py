@@ -144,6 +144,25 @@ def test_expression_compiler_guards():
     assert cli.compile_expression("+".join(["x"] * 300), ("x",))(0.5) == 150.0
 
 
+def test_compiled_expressions_keep_their_own_variables():
+    f = cli.compile_expression("sin(pi*x) + 2**x", ("x",))
+    g = cli.compile_expression("x - 3*t", ("x", "t"))
+    for x, t in ((0.25, 1.0), (0.5, -2.0), (1.5, 0.0)):
+        assert f(x) == math.sin(math.pi * x) + 2.0 ** x
+        assert g(x, t) == x - 3.0 * t
+
+
+def test_csv_columns_are_the_error_row_fields():
+    assert ",".join(problems.ErrorRow._fields) == cli.CSV_HEADER
+    row = problems.ErrorRow(0.1, 1 / 3, -2.5e-300, math.pi, math.inf, math.nan, 0.0012345678)
+    with pytest.raises(AttributeError):
+        row.approx = 0.0
+    assert cli._table_row(row) == ["0.10000000000000001", "0.33333333333333331", "-2.5e-300",
+                                   "3.1415926535897931", "inf", "nan", "0.001235"]
+    assert cli._table_row(problems.ErrorRow(-1, 2, 0.0, -0.0, 1e-17, 7.0, 12.5)) == [
+        "-1", "2", "0", "-0", "1.0000000000000001e-17", "7", "12.500000"]
+
+
 def test_expression_sech_is_the_problems_sech(tmp_path):
     assert cli._EXPR_NAMES["sech"] is problems.sech
     assert cli.compile_expression("sech(x)", ("x",))(800.0) == 0.0
