@@ -326,20 +326,24 @@ def run(cfg: RunConfig) -> int:
     """Execute the solve(s) of a ``parse_config`` result and write tables; returns an exit code.
 
     Raises ConfigError before any solve when ``cfg.out`` names no file, its
-    directory does not exist or an output path is an existing directory.
+    directory does not exist, an output path is an existing directory or
+    checking one fails (a file name too long for the file system).
     """
     grids = [(cfg.nx * 2 ** level, cfg.nt * 2 ** level)
              for level in range(cfg.refinement_levels + 1)]
     if cfg.out is not None:
         if Path(cfg.out).name in ("", ".."):
             raise ConfigError(f"cannot write {cfg.out!r}: the output path names no file")
-        if not Path(cfg.out).parent.is_dir():
-            raise ConfigError(f"cannot write {cfg.out}: "
-                              f"{Path(cfg.out).parent} is not an existing directory")
-        table_paths, summary_path = _output_paths(cfg.out, len(grids), cfg.fmt)
-        for path in (*table_paths, summary_path):
-            if path.is_dir():
-                raise ConfigError(f"cannot write {path}: it is a directory")
+        try:
+            if not Path(cfg.out).parent.is_dir():
+                raise ConfigError(f"cannot write {cfg.out}: "
+                                  f"{Path(cfg.out).parent} is not an existing directory")
+            table_paths, summary_path = _output_paths(cfg.out, len(grids), cfg.fmt)
+            for path in (*table_paths, summary_path):
+                if path.is_dir():
+                    raise ConfigError(f"cannot write {path}: it is a directory")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
     problem = cfg.spec
     pts_eval = _eval_points(cfg, problem.domain)
     hp = problems.homogenize(problem)

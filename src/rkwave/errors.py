@@ -2,7 +2,7 @@
 
 
 class SingularSystem(Exception):
-    """The kernel characterizing system is numerically singular.
+    """The kernel characterizing system has no unique solution.
 
     Usually means the space description is wrong (missing or contradictory
     constraints), since every supported space has a unique kernel.

@@ -18,14 +18,19 @@ multiplies x^i y^j; a kernel of order m < 3 populates only the leading
 2m x 2m block), which makes differentiation in either slot exact.
 ``eval_kernel_grid`` evaluates a kernel on a grid of coordinates.
 
-Every kernel is derived, not tabulated: ``derive_kernel_oracle`` solves the
-characterizing linear system read off from integration by parts (essential
-constraints at the interval ends, natural boundary conditions, C^(2m-2)
-continuity across the diagonal and a unit jump in the (2m-1)-th derivative)
-exactly in rational arithmetic and rounds each coefficient to a double once;
-``closed_form_kernel`` caches that derivation per space id.  The paper's
-printed coefficient tables serve only as a test reference; one of their
-entries is misprinted (R_spatial lower[4][5], printed 1/2938, exactly 1/2928).
+Every kernel is derived, not tabulated.  ``derive_kernel_oracle`` writes
+the lower branch as S + D/2 and the upper one as S - D/2, with S symmetric
+and D the coefficients of (-1)^(m-1) (x - y)^(2m-1) / (2m-1)!.  That ansatz
+holds symmetry, C^(2m-2) continuity across the diagonal and the jump
+(-1)^(m-1) of the (2m-1)-th derivative by construction, and every kernel of
+this kind has that form.  The boundary conditions read off from
+integration by parts (essential constraints at the interval ends and
+natural boundary conditions) then fix the m(2m+1) entries of S.  They are
+solved exactly in rational arithmetic, and each coefficient is rounded to a
+double once; ``closed_form_kernel`` caches that derivation per space id.
+The paper's printed coefficient tables serve only as a test reference; one
+of their entries is misprinted (R_spatial lower[4][5], printed 1/2938,
+exactly 1/2928).
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ def _polish_columns_at_one(mat: np.ndarray) -> None:
             mat[-1, j] -= s
 
 
-def _eliminate(row: dict, rhs: Fraction, pivot: int, pivot_row: list) -> Fraction:
+def _eliminate(row: dict, rhs: Fraction, pivot: tuple, pivot_row: list) -> Fraction:
     """Subtract row[pivot] times ``pivot_row`` ([row, rhs]) from ``row`` in place.
 
     Returns the right-hand side reduced the same way.
@@ -171,11 +176,24 @@ def _eliminate(row: dict, rhs: Fraction, pivot: int, pivot_row: list) -> Fractio
 def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
     """Exact coefficients C[i][j] of the kernel's lower branch x <= y.
 
-    Writing K as sum_{ij} C[i,j] x^i y^j on x <= y with 0 <= i, j <= 2m-1,
-    and as its mirror image sum_{ij} C[j,i] x^i y^j on x > y (the kernel is
-    symmetric), each condition below must hold for every parameter y, i.e.
-    per power of y; collecting powers turns the lot into one
-    overdetermined-but-consistent linear system in the entries of C:
+    K is sum_{ij} C[i,j] x^i y^j on x <= y with 0 <= i, j <= 2m-1, and its
+    mirror image sum_{ij} C[j,i] x^i y^j on x > y (the kernel is symmetric).
+    Lower minus upper branch is then a polynomial of degree at most 2m-1 in
+    each variable.  The kernel is C^(2m-2) across x = y, so that difference
+    vanishes to order 2m-1 on the diagonal and is a multiple of
+    (x - y)^(2m-1); the degree bound leaves only a constant factor, and the
+    jump (-1)^(m-1) of the (2m-1)-th x-derivative fixes it (that jump is what
+    reproduces point evaluation: integrating by parts m times leaves
+    (-1)^(m-1) times it against u(y)).  So
+    C - C^T = D, the coefficients of (-1)^(m-1) (x - y)^(2m-1) / (2m-1)!,
+
+        D[i][j] = (-1)^(m-1+j) binom(2m-1, i) / (2m-1)!   where i + j = 2m-1,
+
+    and C = S + D/2, C^T = S - D/2 with S symmetric.  The ansatz holds
+    symmetry, continuity and the jump by construction; the m(2m+1) entries
+    S[i][j], i <= j, are the unknowns.  Each remaining condition must hold
+    for every parameter y, i.e. per power of y, with the known D/2 terms on
+    the right-hand side:
 
     (a) essential constraints of the space at the argument-slot endpoints,
     (b) natural boundary conditions: in
@@ -184,75 +202,55 @@ def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
               = sum_{r=0}^{m-1} (-1)^r [u^(m-1-r) K^(m+r)]_0^1 + jump terms
 
         the total coefficient of every unconstrained boundary value
-        u^(d)(e) in <u, K(., y)> must vanish,
-    (c) C^(2m-2) continuity across x = y,
-    (d) a jump of (-1)^(m-1) in the (2m-1)-th x-derivative across the
-        diagonal (lower minus upper), which is what reproduces point
-        evaluation: integrating by parts m times leaves (-1)^(m-1) times
-        that jump against u(y).
+        u^(d)(e) in <u, K(., y)> must vanish.
 
-    Every coefficient of the system is an integer, so Gauss-Jordan
-    elimination over sparse rows of Fractions solves it exactly.  Raises
-    SingularSystem when the system is rank deficient or inconsistent, which
-    signals a wrong SpaceSpec.
+    That is 2m rows per boundary value u^(d)(e), d < m: 36 rows in 21
+    unknowns at order 3.  The coefficients of the unknowns are integers and
+    the right-hand sides rational, so Gauss-Jordan elimination over sparse
+    rows of Fractions solves the system exactly.  Raises SingularSystem when
+    the system is rank deficient or inconsistent, which signals a wrong
+    SpaceSpec.
     """
     m = spec.order
     if m < 1:
         raise ValueError("order must be >= 1")
     n = 2 * m  # coefficients per branch and per variable
-    essential = set(spec.essential_constraints)
-    discrete = set(spec.discrete_terms)
-    rows = []  # (coefficients by unknown, right-hand side)
+    # D/2 by its nonzero entries (i, j = 2m-1-i); (-1)^(m+i) = (-1)^(m-1+j)
+    half_jump = {(i, n - 1 - i): Fraction((-1) ** (m + i) * math.comb(n - 1, i),
+                                          2 * math.factorial(n - 1)) for i in range(n)}
+    rows = []  # (coefficients by unknown S[i][j] keyed (i, j), i <= j; right-hand side)
 
-    def add(row: dict, branch: int, i: int, j: int, coef: int) -> None:
-        # adds coef times the x^i y^j coefficient of the branch; the upper
-        # branch (1) holds C transposed
-        k = i * n + j if branch == 0 else j * n + i
-        row[k] = row.get(k, 0) + coef
-
-    def endpoint(row: dict, branch: int, j: int, order: int, e: int, sign: int) -> None:
-        # adds sign * K^(order)(e) restricted to the y^j column
+    def endpoint(row: dict, j: int, order: int, e: int, sign: int) -> Fraction:
+        # adds sign * K^(order)(e) restricted to the y^j column; on branch e
+        # the x^i y^j coefficient is S[i][j] + (-1)^e D[i][j]/2, and the
+        # returned right-hand side carries the known D/2 part
+        rhs = 0
         for i in range(order, n):
-            add(row, branch, i, j, sign * math.perm(i, order) * e ** (i - order))
+            coef = sign * math.perm(i, order) * e ** (i - order)
+            k = (min(i, j), max(i, j))
+            row[k] = row.get(k, 0) + coef
+            rhs -= coef * (-1) ** e * half_jump.get((i, j), 0)
+        return rhs
 
     # (a) essential constraints; the endpoint x = e lies on branch e
     for d, e in spec.essential_constraints:
         for j in range(n):
             row = {}
-            endpoint(row, e, j, d, e, 1)
-            rows.append((row, 0))
+            rows.append((row, endpoint(row, j, d, e, 1)))
 
-    # (b) natural boundary conditions for every unconstrained u^(d)(e)
+    # (b) natural boundary conditions for every unconstrained u^(d)(e); the
+    # term u^(d)(e) K^(2m-1-d)(e) of the integration by parts has the sign
+    # (-1)^(m-1-d) at e = 1 and the opposite one at e = 0
     for d in range(m):
         for e in (0, 1):
-            if (d, e) in essential:
+            if (d, e) in spec.essential_constraints:
                 continue
-            sign = (1 if e == 1 else -1) * (-1) ** (m - 1 - d)
             for j in range(n):
                 row = {}
-                if (d, e) in discrete:
-                    endpoint(row, e, j, d, e, 1)
-                endpoint(row, e, j, 2 * m - 1 - d, e, sign)
-                rows.append((row, 0))
-
-    # (c) continuity of orders 0 .. 2m-2 along x = y: collect powers of y
-    for d in range(2 * m - 1):
-        for p in range((2 * m - 1 - d) + (2 * m - 1) + 1):
-            row = {}
-            for i in range(d, n):
-                j = p - (i - d)
-                if 0 <= j < n:
-                    add(row, 0, i, j, math.perm(i, d))
-                    add(row, 1, i, j, -math.perm(i, d))
-            rows.append((row, 0))
-
-    # (d) the jump (-1)^(m-1) of the (2m-1)-th derivative, lower minus upper
-    top = math.factorial(n - 1)
-    for j in range(n):
-        row = {}
-        add(row, 0, n - 1, j, top)
-        add(row, 1, n - 1, j, -top)
-        rows.append((row, (-1) ** (m - 1) if j == 0 else 0))
+                rhs = endpoint(row, j, 2 * m - 1 - d, e, (-1) ** (m + d + e))
+                if (d, e) in spec.discrete_terms:
+                    rhs += endpoint(row, j, d, e, 1)
+                rows.append((row, rhs))
 
     # Gauss-Jordan: pivot rows stay fully reduced, so reducing a new row by
     # them leaves it free of every pivot unknown.  Taking the sparsest rows
@@ -275,12 +273,11 @@ def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
             if k in prow[0]:
                 prow[1] = _eliminate(prow[0], prow[1], k, new)
         pivots[k] = new
-    if len(pivots) < n * n:
-        raise SingularSystem(
-            f"characterizing system has rank {len(pivots)} < {n * n}; "
-            "check the space description"
-        )
-    return [[pivots[i * n + j][1] for j in range(n)] for i in range(n)]
+    if len(pivots) < m * (n + 1):
+        raise SingularSystem(f"characterizing system has rank {len(pivots)} < {m * (n + 1)}, "
+                             "its number of unknowns m(2m+1); check the space description")
+    return [[pivots[min(i, j), max(i, j)][1] + half_jump.get((i, j), 0) for j in range(n)]
+            for i in range(n)]
 
 
 def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:

@@ -96,6 +96,13 @@ def test_missing_output_directory_exits_2_before_solving(tmp_path, capsys, monke
         assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", out]) == 2
         assert capsys.readouterr().err.count(f"cannot write {out!r}: the output path names "
                                              "no file") == 2
+    # a file name too long for the file system: the table's, or only the summary's
+    for out, bad in ((tmp_path / f"{'a' * 300}.csv", None),
+                     (tmp_path / f"{'b' * 250}.csv", tmp_path / f"{'b' * 250}_summary.csv")):
+        assert cli.main([str(write(tmp_path, body + f"out = {out}\n", "a.cfg"))]) == 2
+        assert cli.main([str(write(tmp_path, body, "b.cfg")), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count(f"config error: cannot write {bad or out}: "
+                                             "File name too long") == 2
     assert solves == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 

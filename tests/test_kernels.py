@@ -1,4 +1,5 @@
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,13 @@ def exact_kernel(c, x, y):
     return sum(c[i][j] * x ** i * y ** j for i in range(len(c)) for j in range(len(c)))
 
 
+def exact_jump(c, d, y):
+    """d^d/dx^d of the lower minus the upper branch at x = y, from the exact coefficients c."""
+    n = len(c)
+    return sum(math.perm(i, d) * (c[i][j] - c[j][i]) * y ** (i - d + j)
+               for i in range(d, n) for j in range(n))
+
+
 def exact_pivots(mat):
     """The pivots of Gaussian elimination without row exchanges, in exact arithmetic."""
     a = [row[:] for row in mat]
@@ -274,6 +282,9 @@ def test_kernel_is_positive_definite_at_every_order(m):
     gram = [[exact_kernel(c, x, y) for y in ys] for x in ys]
     # every leading minor positive (Sylvester), so the matrix is positive definite
     assert all(p > 0 for p in exact_pivots(gram))
+    # C^(2m-2) across the diagonal and the jump (-1)^(m-1) of the (2m-1)-th derivative
+    jumps = [0] * (2 * m - 1) + [(-1) ** (m - 1)]
+    assert all([exact_jump(c, d, y) for d in range(2 * m)] == jumps for y in ys)
 
 
 @pytest.mark.parametrize("sid", ORDER3_IDS)
@@ -283,6 +294,6 @@ def test_order3_coefficients_are_exactly_the_corrected_tables(sid):
 
 def test_oracle_rejects_degenerate_space():
     # no discrete terms: the bilinear form is degenerate, no kernel exists
-    bad = SpaceSpec(3, (), ())
-    with pytest.raises(SingularSystem):
-        derive_kernel_oracle(bad)
+    for m in (1, 2, 3):
+        with pytest.raises(SingularSystem):
+            derive_kernel_oracle(SpaceSpec(m, (), ()))
