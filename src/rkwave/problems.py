@@ -70,6 +70,8 @@ class Rectangle:
     T: float
     operator: WaveOperator = field(init=False, repr=False, compare=False)
     margin: float = field(init=False, repr=False, compare=False)  # to_canonical's rounding slack
+    # the accepted (x_lo, x_hi, t_lo, t_hi): the rectangle widened by ``margin``
+    bounds: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
     dxi_dx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,13 +85,16 @@ class Rectangle:
         except (ValueError, ArithmeticError) as exc:
             raise DegenerateDomain(f"rectangle {box} has no unit-square operator: {exc}") from None
         object.__setattr__(self, "operator", op)
-        object.__setattr__(self, "margin", 1e-9 * max(1.0, self.b - self.a, self.T))
+        eps = 1e-9 * max(1.0, self.b - self.a, self.T)
+        object.__setattr__(self, "margin", eps)
+        object.__setattr__(self, "bounds", (self.a - eps, self.b + eps, -eps, self.T + eps))
         object.__setattr__(self, "dxi_dx", 1.0 / (self.b - self.a))
 
     def to_canonical(self, x: float, t: float):
-        """(xi, tau) of the point (x, t); OutOfDomain if it is more than ``margin`` off."""
-        a, b, T, eps = self.a, self.b, self.T, self.margin
-        if not (a - eps <= x <= b + eps) or not (-eps <= t <= T + eps):
+        """(xi, tau) of the point (x, t); OutOfDomain if it is outside ``bounds``."""
+        a, b, T = self.a, self.b, self.T
+        x_lo, x_hi, t_lo, t_hi = self.bounds
+        if not (x_lo <= x <= x_hi) or not (t_lo <= t <= t_hi):
             raise OutOfDomain(f"({x}, {t}) outside [{a}, {b}] x [0, {T}]")
         return (x - a) / (b - a), t / T
 
@@ -148,19 +153,18 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
     f, g, h1, h2 = p.f, p.g, p.h1, p.h2
     fa, fb = f.val(a), f.val(b)
     ga, gb = g.val(a), g.val(b)
-
-    def rho(t: float) -> float:
-        return h1.val(t) - fa - t * ga
-
-    def sigma(t: float) -> float:
-        return h2.val(t) - fb - t * gb
+    # w and w_x run once per evaluated point: rho and sigma are written out
+    # in place and the data functions bound here, in the formula's order
+    f_val, g_val, h1_val, h2_val, f_d1, g_d1 = f.val, g.val, h1.val, h2.val, f.d1, g.d1
 
     def w(x: float, t: float) -> float:
-        return (f.val(x) + t * g.val(x)
-                + (b - x) / width * rho(t) + (x - a) / width * sigma(t))
+        return (f_val(x) + t * g_val(x)
+                + (b - x) / width * (h1_val(t) - fa - t * ga)
+                + (x - a) / width * (h2_val(t) - fb - t * gb))
 
     def w_x(x: float, t: float) -> float:
-        return f.d1(x) + t * g.d1(x) + (sigma(t) - rho(t)) / width
+        return (f_d1(x) + t * g_d1(x)
+                + ((h2_val(t) - fb - t * gb) - (h1_val(t) - fa - t * ga)) / width)
 
     def w_tt(x: float, t: float) -> float:
         return (b - x) / width * h1.d2(t) + (x - a) / width * h2.d2(t)
@@ -297,19 +301,23 @@ def error_table(sol: solver.Solution, eval_points) -> ErrorReport:
     aggregate norms.  Without an exact solution the exact, abs_err and
     rel_err columns are NaN.
     """
-    exact = sol.hp.problem.exact
+    # bound once per call; solver.evaluate is read here, not at import, so a
+    # wrapper installed on the module is what runs
+    evaluate, clock, exact = solver.evaluate, time.perf_counter, sol.hp.problem.exact
+    new_row = tuple.__new__  # an ErrorRow from its fields, without NamedTuple's __new__
     rows = []
     for x, t in eval_points:
-        start = time.perf_counter()
-        approx = solver.evaluate(sol, x, t)
-        seconds = time.perf_counter() - start
+        start = clock()
+        approx = evaluate(sol, x, t)
+        seconds = clock() - start
         ex = float(exact(x, t)) if exact is not None else math.nan
         abs_err = abs(ex - approx)
         if abs_err == 0.0:
             rel = 0.0
         elif ex == 0.0:
-            rel = float("inf")
+            rel = math.inf
         else:
             rel = abs_err / abs(ex)
-        rows.append(ErrorRow(float(x), float(t), ex, float(approx), abs_err, rel, seconds))
+        rows.append(new_row(ErrorRow, (float(x), float(t), ex, float(approx), abs_err, rel,
+                                       seconds)))
     return ErrorReport(tuple(rows))

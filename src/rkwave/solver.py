@@ -26,12 +26,16 @@ matrices, so A and L are the only N x N arrays of a solve.
 
 Evaluation is a cell lookup: every solution carries the per-cell table of
 its series (``wave_operator.series_table``), so a point costs the same at
-any basis size, for v and dv/dxi alike.
+any basis size, for v and dv/dxi alike.  Each solution builds, once, one
+closure for u = v_n + w and one for du/dx, which bind the rectangle's
+bounds and map, the table and the lifting; ``evaluate`` and
+``evaluate_dx`` are one call into them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -82,10 +86,40 @@ class Solution:
     last_update: float  # max |change of the collocation values| in the last sweep
     norm_history: np.ndarray = field(init=False)
     table: SeriesTable = field(init=False, repr=False)  # the series per grid cell
+    u: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    u_x: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
         self.table = series_table(self.basis, self.psi_weights)
+        self.u, self.u_x = _point_functions(self.hp, self.table)
+
+
+def _point_functions(hp, table: SeriesTable):
+    """u = v_n + w and du/dx at a physical point (x, t), as two closures.
+
+    Each binds, once, the rectangle's bounds and map, the table's ``value``
+    and the lifting, so a point costs the bounds check, xi = (x - a)/(b - a)
+    and tau = t/T as ``Rectangle.to_canonical`` forms them, one table
+    lookup with its Horner sum and one lifting call.  A point outside the
+    bounds goes to ``to_canonical``, which raises OutOfDomain.
+    """
+    domain = hp.problem.domain
+    a, T, width, dxi_dx = domain.a, domain.T, domain.b - domain.a, domain.dxi_dx
+    x_lo, x_hi, t_lo, t_hi = domain.bounds
+    to_canonical, value, lift, lift_x = domain.to_canonical, table.value, hp.lifting, hp.lifting_x
+
+    def u(x: float, t: float) -> float:
+        if not (x_lo <= x <= x_hi) or not (t_lo <= t <= t_hi):
+            to_canonical(x, t)
+        return value((x - a) / width, t / T) + lift(x, t)
+
+    def u_x(x: float, t: float) -> float:
+        if not (x_lo <= x <= x_hi) or not (t_lo <= t <= t_hi):
+            to_canonical(x, t)
+        return value((x - a) / width, t / T, 1) * dxi_dx + lift_x(x, t)
+
+    return u, u_x
 
 
 def _point_label(hp, xi: float, tau: float) -> str:
@@ -138,15 +172,12 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
 
 def evaluate(sol: Solution, x: float, t: float) -> float:
     """Evaluate the reconstructed solution u = v_n + w at a physical point."""
-    xi, tau = sol.hp.problem.domain.to_canonical(x, t)
-    return sol.table.value(xi, tau) + sol.hp.lifting(x, t)
+    return sol.u(x, t)
 
 
 def evaluate_dx(sol: Solution, x: float, t: float) -> float:
     """Evaluate du/dx via the termwise-differentiated series plus lifting."""
-    domain = sol.hp.problem.domain
-    xi, tau = domain.to_canonical(x, t)
-    return sol.table.value(xi, tau, dx=1) * domain.dxi_dx + sol.hp.lifting_x(x, t)
+    return sol.u_x(x, t)
 
 
 def solution_norm(sol: Solution) -> float:

@@ -26,10 +26,10 @@ one bivariate polynomial of degree 5 in each variable on each cell of the
 grid.  ``series_table`` tabulates it once, as the coefficient form of the
 ``collocation_values`` product: one 6x6 coefficient matrix per cell for
 the series and its xi-derivative, so ``SeriesTable.value`` costs two
-bisections, one dict lookup of the cell's rows as Python floats (converted
-on the cell's first visit) and one nested Horner sum over 36 floats at any
-N.  The last column of cells is expanded about xi = 1, which keeps the
-series exactly zero there.
+bisections, one dict lookup of the cell's 36 coefficients as one flat
+tuple of Python floats (converted on the cell's first visit) and one
+unrolled Horner sum over them at any N.  The last column of cells is
+expanded about xi = 1, which keeps the series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -151,51 +151,69 @@ class SeriesTable:
     tau = 0 it is exactly 0 because the first column and row of cells use
     only lower branches, whose constant rows are exactly zero.
 
-    ``value`` reads the cell's 36 coefficients as Python floats and sums
-    them by Horner's rule with no numpy arithmetic per point: v in s
-    within each row and then in tau across the rows, dv/dxi in tau down
-    each column q >= 1 and then in s with the factors q.  At s = 0 each
-    row of v reduces to its s^0 entry and at tau = 0 the sum to row 0, so
-    the exact zeros above survive.  The table holds 36 doubles per cell,
-    (len(xis) + 1)(len(taus) + 1) cells, and a point costs the same at any
-    basis size.
+    ``value`` finds the point's cell by two bisections and one dict lookup
+    and sums the cell's 36 coefficients by Horner's rule, unrolled, with no
+    numpy arithmetic per point: v in s within each row and then in tau
+    across the rows, dv/dxi in tau down each column q >= 1 and then in s
+    with the factors q.  Each sum in tau starts from 0.0 * tau, as a loop
+    from 0.0 over the rows does, so the bits are those of that loop form
+    (``tests/oracles.py``'s ``series_value``), signed zeros included.  At s = 0
+    each row of v reduces to its s^0 entry and at tau = 0 the sum to row 0,
+    so the exact zeros above survive.  A point costs the same at any basis
+    size.
 
-    The float rows, ``poly[b, a].tolist()``, are converted on a cell's first
-    visit and kept in ``_rows``, so a later point in that cell does no numpy
-    work; ``poly`` is read-only, so they cannot go stale.  They cost 36
-    floats as Python objects, about 1.6 KB per visited cell (1.7 KB with
-    its dict entry, by tracemalloc); converting every cell up front would
-    cost that for cells no point visits.
+    The coefficients are kept as one flat tuple of Python floats per cell,
+    row by row (entry 6 p + q multiplies tau^p s^q), under the int key
+    b (len(xis) + 1) + a.  A cell's tuple is converted from ``poly[b, a]``
+    on its first visit, so a later point in that cell does no numpy work;
+    ``poly`` is read-only, so the tuples cannot go stale.  A kept cell costs
+    its 36 floats as Python objects, about 1.2 KB with the tuple and its
+    dict entry by tracemalloc; converting every cell up front would cost
+    that for cells no point visits.
     """
 
     xis: tuple[float, ...]
     taus: tuple[float, ...]
     poly: np.ndarray = field(repr=False)
-    _rows: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _cells: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.poly.setflags(write=False)  # the rows in _rows are copies of it
+        self.poly.setflags(write=False)  # the tuples in _cells are copies of it
 
     def value(self, xi: float, tau: float, dx: int = 0) -> float:
         """d^dx/dxi^dx of the series at a canonical point."""
         if dx not in (0, 1):
             raise ValueError("dx must be 0 or 1")
-        a = bisect_left(self.xis, xi)
-        s = xi - 1.0 if a == len(self.xis) else xi
-        cell = bisect_left(self.taus, tau), a
-        rows = self._rows.get(cell)
-        if rows is None:
-            rows = self._rows[cell] = self.poly[cell].tolist()
+        xis = self.xis
+        a = bisect_left(xis, xi)
+        b = bisect_left(self.taus, tau)
+        nx = len(xis)
+        key = b * (nx + 1) + a
+        coefs = self._cells.get(key)
+        if coefs is None:
+            coefs = self._cells[key] = tuple(self.poly[b, a].ravel().tolist())
+        s = xi - 1.0 if a == nx else xi
         if dx == 0:
-            out = 0.0
-            for c0, c1, c2, c3, c4, c5 in reversed(rows):
-                out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
-            return float(out)
-        d1 = d2 = d3 = d4 = d5 = 0.0
-        for _, c1, c2, c3, c4, c5 in reversed(rows):
-            d1, d2, d3 = d1 * tau + c1, d2 * tau + c2, d3 * tau + c3
-            d4, d5 = d4 * tau + c4, d5 * tau + c5
-        return float(d1 + s * (2 * d2 + s * (3 * d3 + s * (4 * d4 + s * 5 * d5))))
+            (c00, c01, c02, c03, c04, c05, c10, c11, c12, c13, c14, c15,
+             c20, c21, c22, c23, c24, c25, c30, c31, c32, c33, c34, c35,
+             c40, c41, c42, c43, c44, c45, c50, c51, c52, c53, c54, c55) = coefs
+            return ((((((0.0 * tau
+                         + (c50 + s * (c51 + s * (c52 + s * (c53 + s * (c54 + s * c55)))))) * tau
+                        + (c40 + s * (c41 + s * (c42 + s * (c43 + s * (c44 + s * c45)))))) * tau
+                       + (c30 + s * (c31 + s * (c32 + s * (c33 + s * (c34 + s * c35)))))) * tau
+                      + (c20 + s * (c21 + s * (c22 + s * (c23 + s * (c24 + s * c25)))))) * tau
+                     + (c10 + s * (c11 + s * (c12 + s * (c13 + s * (c14 + s * c15)))))) * tau
+                    + (c00 + s * (c01 + s * (c02 + s * (c03 + s * (c04 + s * c05))))))
+        (_, c01, c02, c03, c04, c05, _, c11, c12, c13, c14, c15,
+         _, c21, c22, c23, c24, c25, _, c31, c32, c33, c34, c35,
+         _, c41, c42, c43, c44, c45, _, c51, c52, c53, c54, c55) = coefs
+        zero = 0.0 * tau
+        d1 = (((((zero + c51) * tau + c41) * tau + c31) * tau + c21) * tau + c11) * tau + c01
+        d2 = (((((zero + c52) * tau + c42) * tau + c32) * tau + c22) * tau + c12) * tau + c02
+        d3 = (((((zero + c53) * tau + c43) * tau + c33) * tau + c23) * tau + c13) * tau + c03
+        d4 = (((((zero + c54) * tau + c44) * tau + c34) * tau + c24) * tau + c14) * tau + c04
+        d5 = (((((zero + c55) * tau + c45) * tau + c35) * tau + c25) * tau + c15) * tau + c05
+        return d1 + s * (2.0 * d2 + s * (3.0 * d3 + s * (4.0 * d4 + s * 5.0 * d5)))
 
 
 def series_table(basis: RepresenterBasis, weights) -> SeriesTable:

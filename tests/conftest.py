@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,29 @@ def ex52_hp(ex52):
 @pytest.fixture(scope="session")
 def ex52_sol_9(ex52_hp):
     return solver.solve(ex52_hp, solver.generate_collocation(9, 9), outer_sweeps=5)
+
+
+@pytest.fixture(scope="session")
+def custom_problem():
+    """A linear problem on [-0.7, 1.9] x [0, 1.3] with all four data curves nonzero.
+
+    Its data are read from the exact solution u = sin(x - t) + 0.3 x t, so
+    the corners are compatible and no source is needed.
+    """
+    a, b = -0.7, 1.9
+
+    def boundary(x0):
+        return problems.Curve(lambda t: math.sin(x0 - t) + 0.3 * x0 * t,
+                              lambda t: -math.cos(x0 - t) + 0.3 * x0,
+                              lambda t: -math.sin(x0 - t))
+
+    return problems.ProblemSpec(
+        domain=problems.Rectangle(a, b, 1.3),
+        f=problems.Curve(math.sin, math.cos, lambda x: -math.sin(x)),
+        g=problems.Curve(lambda x: -math.cos(x) + 0.3 * x, lambda x: math.sin(x) + 0.3,
+                         math.cos),
+        h1=boundary(a),
+        h2=boundary(b),
+        exact=lambda x, t: math.sin(x - t) + 0.3 * x * t,
+        exact_dx=lambda x, t: math.cos(x - t) + 0.3 * t,
+    )

@@ -11,12 +11,21 @@ package's Horner evaluation, so it is independent of the code it checks:
                         products, with the reproducing-kernel sections
     apply_L             L by central second differences
 
+and, as bit-level references for the point evaluation, the formulas it
+replaced in their order of operations:
+
+    series_value        the series by a loop over the cell's rows of
+                        ``SeriesTable.poly``, converted afresh per call
+    lifting             the lifting w and w_x with rho and sigma as functions
+    evaluate            u or du/dx as the rectangle map, series_value and lifting
+
 The image space W_hat of the paper uses order-1 factors that the solve never
 needs; their specs live here and are derived by ``derive_kernel_oracle``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -198,3 +207,63 @@ def inner_product_2d(space: str, u, g, split_x=(), split_t=()) -> float:
             values = np.asarray(u(xg, tg, dx, dt)) * np.asarray(g(xg, tg, dx, dt))
             total += float(xw @ values @ tw)
     return total
+
+
+# --------------------------------------------------------------------------
+# point evaluation, bit for bit
+# --------------------------------------------------------------------------
+
+def series_value(table, xi: float, tau: float, dx: int = 0) -> float:
+    """d^dx/dxi^dx of the series: Horner over the cell's rows of ``table.poly``.
+
+    v in s within each row and then in tau across the rows, dv/dxi in tau
+    down each column q >= 1 and then in s with the factors q.
+    """
+    a = bisect_left(table.xis, xi)
+    s = xi - 1.0 if a == len(table.xis) else xi
+    rows = table.poly[bisect_left(table.taus, tau), a].tolist()
+    if dx == 0:
+        out = 0.0
+        for c0, c1, c2, c3, c4, c5 in reversed(rows):
+            out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
+        return float(out)
+    d1 = d2 = d3 = d4 = d5 = 0.0
+    for _, c1, c2, c3, c4, c5 in reversed(rows):
+        d1, d2, d3 = d1 * tau + c1, d2 * tau + c2, d3 * tau + c3
+        d4, d5 = d4 * tau + c4, d5 * tau + c5
+    return float(d1 + s * (2 * d2 + s * (3 * d3 + s * (4 * d4 + s * 5 * d5))))
+
+
+def lifting(p):
+    """(w, w_x) of the problem ``p``, with rho and sigma as functions."""
+    a, b = p.domain.a, p.domain.b
+    width = b - a
+    f, g, h1, h2 = p.f, p.g, p.h1, p.h2
+    fa, fb = f.val(a), f.val(b)
+    ga, gb = g.val(a), g.val(b)
+
+    def rho(t):
+        return h1.val(t) - fa - t * ga
+
+    def sigma(t):
+        return h2.val(t) - fb - t * gb
+
+    def w(x, t):
+        return (f.val(x) + t * g.val(x)
+                + (b - x) / width * rho(t) + (x - a) / width * sigma(t))
+
+    def w_x(x, t):
+        return f.d1(x) + t * g.d1(x) + (sigma(t) - rho(t)) / width
+
+    return w, w_x
+
+
+def evaluate(sol, x: float, t: float, dx: int = 0) -> float:
+    """u (dx = 0) or du/dx (dx = 1) of a solution at a point of its rectangle."""
+    p = sol.hp.problem
+    d = p.domain
+    xi, tau = (x - d.a) / (d.b - d.a), t / d.T
+    w, w_x = lifting(p)
+    if dx == 0:
+        return series_value(sol.table, xi, tau) + w(x, t)
+    return series_value(sol.table, xi, tau, 1) * d.dxi_dx + w_x(x, t)

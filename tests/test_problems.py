@@ -18,6 +18,7 @@ from rkwave.problems import (
 )
 from rkwave.wave_operator import WaveOperator
 
+import oracles
 from oracles import apply_L
 
 
@@ -173,19 +174,28 @@ def test_memoized_M_gives_the_bits_of_a_first_call(example):
         assert formula == want
 
 
-def test_lifting_matches_all_data():
-    p = builtin("ex52")
-    hp = homogenize(p)
-    a, b, T = p.domain.a, p.domain.b, p.domain.T
+def test_lifting_matches_all_data(custom_problem):
+    # the lifting meets every datum, and w and w_x give the bits of their
+    # formula with rho and sigma, at random points of ex51, ex52 and a
+    # problem whose four data curves are all nonzero
     rng = np.random.default_rng(1)
-    for x in rng.uniform(a, b, 50):
-        assert abs(hp.lifting(x, 0.0) - p.f.val(x)) < 1e-10
-        eps = 1e-6
-        dt = (hp.lifting(x, eps) - hp.lifting(x, -eps)) / (2 * eps)
-        assert abs(dt - p.g.val(x)) < 1e-8
-    for t in rng.uniform(0, T, 50):
-        assert abs(hp.lifting(a, t) - p.h1.val(t)) < 1e-10
-        assert abs(hp.lifting(b, t) - p.h2.val(t)) < 1e-10
+    for p in (builtin("ex51"), builtin("ex52"), custom_problem):
+        hp = homogenize(p)
+        a, b, T = p.domain.a, p.domain.b, p.domain.T
+        for x in rng.uniform(a, b, 50):
+            assert abs(hp.lifting(x, 0.0) - p.f.val(x)) < 1e-10
+            eps = 1e-6
+            dt = (hp.lifting(x, eps) - hp.lifting(x, -eps)) / (2 * eps)
+            assert abs(dt - p.g.val(x)) < 1e-8
+        for t in rng.uniform(0, T, 50):
+            assert abs(hp.lifting(a, t) - p.h1.val(t)) < 1e-10
+            assert abs(hp.lifting(b, t) - p.h2.val(t)) < 1e-10
+        w, w_x = oracles.lifting(p)
+        points = list(zip(rng.uniform(a, b, 200).tolist(), rng.uniform(0, T, 200).tolist()))
+        points += [(a, 0.0), (b, 0.0), (a, T), (b, T)]
+        assert [hp.lifting(x, t).hex() for x, t in points] == [w(x, t).hex() for x, t in points]
+        assert ([hp.lifting_x(x, t).hex() for x, t in points]
+                == [w_x(x, t).hex() for x, t in points])
 
 
 def test_lifting_derivative_consistency():
@@ -236,6 +246,25 @@ def test_error_table(ex51, ex51_sol_9):
     assert r.rel_err == r.abs_err / abs(r.exact)
     assert report.max_abs_error == max(row.abs_err for row in report.rows)
     assert all(row.seconds >= 0.0 for row in report.rows)
+
+
+def test_error_table_calls_evaluate_once_per_point(ex51_sol_9, monkeypatch):
+    # error_table reads solver.evaluate when it is called, so a wrapper
+    # installed on the module, as the benchmark's tracer installs one, sees
+    # every point exactly once and in order
+    evaluate, calls = solver.evaluate, []
+
+    def counting(sol, x, t):
+        calls.append((x, t))
+        return evaluate(sol, x, t)
+
+    monkeypatch.setattr(solver, "evaluate", counting)
+    pts = [(k / 7, (7 - k) / 7) for k in range(8)]
+    report = error_table(ex51_sol_9, pts)
+    assert calls == pts
+    assert all(type(row) is ErrorRow for row in report.rows)
+    assert [row.approx for row in report.rows] == [evaluate(ex51_sol_9, x, t) for x, t in pts]
+    assert [(row.x, row.t) for row in report.rows] == pts
 
 
 def test_error_table_zero_exact_conventions(ex51_hp):

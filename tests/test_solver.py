@@ -10,6 +10,7 @@ from rkwave.orthonormalize import SOLVE_BLOCK
 from rkwave.solver import CollocationSet, generate_collocation
 from rkwave.wave_operator import gram_matrix
 
+import oracles
 from oracles import apply_L, psi_rows
 
 
@@ -319,3 +320,60 @@ def test_evaluation_cost_does_not_grow_with_the_basis(ex51_hp, monkeypatch):
     for x, t in ((0.0, 0.5), (1.0, 1.0), (0.5, 0.0), (1 / 7, 2 / 7)):
         solver.evaluate(sol, x, t)
         solver.evaluate_dx(sol, x, t)
+
+
+def _evaluation_points(sol):
+    """Points of a solution's rectangle that reach every part of the table.
+
+    One point inside every cell, every grid corner (the rectangle's corners
+    included), the columns x = a and x = b, the rows t = 0 and t = T, and
+    points half the rounding margin outside each edge and corner.
+    """
+    d = sol.hp.problem.domain
+    rng = np.random.default_rng(41)
+    x_edges, t_edges = ([0.0, *c, 1.0] for c in (sol.basis.xis, sol.basis.taus))
+    x_in, t_in = ([lo + rng.uniform(0.05, 0.95) * (hi - lo) for lo, hi in zip(e, e[1:]) if lo < hi]
+                  for e in (x_edges, t_edges))
+    xs = [d.from_canonical(xi, 0.0)[0] for xi in x_in + x_edges[1:-1]]
+    ts = [d.from_canonical(0.0, tau)[1] for tau in t_in + t_edges[1:-1]]
+    eps = d.margin / 2
+    xs_all = xs + [d.a, d.b, d.a - eps, d.b + eps]
+    ts_all = ts + [0.0, d.T, -eps, d.T + eps]
+    return [(x, t) for x in xs_all for t in ts_all]
+
+
+@pytest.mark.parametrize("case", ["ex51 8", "ex51 16", "ex51 32", "ex52 8", "ex52 16", "ex52 32",
+                                  "ex52 irregular", "custom 7x5"])
+def test_evaluate_gives_the_bits_of_the_series_loop_plus_lifting(case, ex51_hp, ex52_hp,
+                                                                 custom_problem):
+    # evaluate and evaluate_dx against the rectangle map, the loop over the
+    # cell's rows and the lifting formula with rho and sigma, in their order
+    # of operations, compared as float.hex
+    name, grid = case.split()
+    if name == "custom":
+        hp, pts = problems.homogenize(custom_problem), generate_collocation(7, 5)
+    elif grid == "irregular":
+        rng = np.random.default_rng(40)
+        hp = ex52_hp
+        pts = CollocationSet(tuple(np.sort(rng.uniform(0.02, 0.98, 9))),
+                             tuple(np.sort(rng.uniform(0.02, 1.0, 6))))
+    else:
+        hp = {"ex51": ex51_hp, "ex52": ex52_hp}[name]
+        pts = generate_collocation(int(grid), int(grid))
+    sol = solver.solve(hp, pts)
+    points = _evaluation_points(sol)
+    for dx, ev in ((0, solver.evaluate), (1, solver.evaluate_dx)):
+        got = [ev(sol, x, t) for x, t in points]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [oracles.evaluate(sol, x, t, dx).hex() for x, t in points]
+    # twice the margin outside, or NaN: OutOfDomain with to_canonical's message
+    d = sol.hp.problem.domain
+    off, mid_x, mid_t = 2 * d.margin, 0.5 * (d.a + d.b), 0.5 * d.T
+    for x, t in ((d.a - off, mid_t), (d.b + off, mid_t), (mid_x, -off), (mid_x, d.T + off),
+                 (d.b + off, d.T + off), (math.nan, mid_t), (mid_x, math.nan)):
+        with pytest.raises(OutOfDomain) as want:
+            d.to_canonical(x, t)
+        for ev in (solver.evaluate, solver.evaluate_dx):
+            with pytest.raises(OutOfDomain) as got:
+                ev(sol, x, t)
+            assert str(got.value) == str(want.value)

@@ -22,6 +22,7 @@ from oracles import (
     kernel_of,
     psi_rows,
     psi_section,
+    series_value,
     tensor_section,
 )
 
@@ -330,35 +331,24 @@ def test_series_table_value_matches_the_pp_form_in_every_cell(irregular):
                 assert abs(got - tau ** powers @ cell @ s ** powers) <= TABLE_RTOL * scale
 
 
-def reference_value(table, xi, tau, dx):
-    """The Horner sum of ``SeriesTable.value`` over the cell's rows, converted afresh."""
-    a = bisect_left(table.xis, xi)
-    s = xi - 1.0 if a == len(table.xis) else xi
-    rows = table.poly[bisect_left(table.taus, tau), a].tolist()
-    if dx == 0:
-        out = 0.0
-        for c0, c1, c2, c3, c4, c5 in reversed(rows):
-            out = out * tau + (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
-        return out
-    d1 = d2 = d3 = d4 = d5 = 0.0
-    for _, c1, c2, c3, c4, c5 in reversed(rows):
-        d1, d2, d3 = d1 * tau + c1, d2 * tau + c2, d3 * tau + c3
-        d4, d5 = d4 * tau + c4, d5 * tau + c5
-    return d1 + s * (2 * d2 + s * (3 * d3 + s * (4 * d4 + s * 5 * d5)))
-
-
 def test_series_table_cell_cache_changes_no_bit():
     # a point in every cell, the last column and the row past the last tau
-    # included, on the cell's first visit (which fills its cached rows) and
-    # on its second (which reads them)
+    # included, on the cell's first visit (which fills its cached tuple) and
+    # on its second (which reads it)
     rng = np.random.default_rng(18)
     basis = random_grid(5, 7, rng)
     weights = rng.normal(size=len(basis)) * 10.0 ** rng.integers(0, 5, len(basis))
     table = series_table(basis, weights)
     (x_in, _), (t_in, _) = (cell_coordinates(np.array(c), rng) for c in (basis.xis, basis.taus))
     calls = [(xi, tau, dx) for tau in t_in.tolist() for xi in x_in.tolist() for dx in (0, 1)]
-    expected = [reference_value(table, *call).hex() for call in calls]
+    expected = [series_value(table, *call).hex() for call in calls]
     assert [table.value(*call).hex() for call in calls] == expected
+    # one flat tuple of the cell's 36 floats, row by row, per int key b (nx + 1) + a
+    nx, nt = len(basis.xis), len(basis.taus)
+    assert sorted(table._cells) == list(range((nt + 1) * (nx + 1)))
+    for key, coefs in table._cells.items():
+        assert type(coefs) is tuple and all(type(c) is float for c in coefs)
+        assert coefs == tuple(table.poly[divmod(key, nx + 1)].ravel())
     poly = table.poly
     object.__setattr__(table, "poly", None)  # so a second visit can only read the cache
     assert [table.value(*call).hex() for call in calls] == expected
