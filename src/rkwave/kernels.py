@@ -13,9 +13,9 @@ A space (``SpaceSpec``) carries an inner product
 with a short list of boundary terms (``discrete_terms``) and an integral of
 order m.  Its reproducing kernel K(x, y) is a piecewise bivariate polynomial
 of degree 2m-1 in each variable, with distinct branches on x <= y and x > y.
-Branches are stored as dense 6x6 monomial coefficient matrices (entry [i, j]
-multiplies x^i y^j; a kernel of order m < 3 populates only the leading
-2m x 2m block), which makes differentiation in either slot exact.
+Branches are stored as dense (2m)x(2m) monomial coefficient matrices (entry
+[i, j] multiplies x^i y^j; 6x6 at order 3), which makes differentiation in
+either slot exact.
 ``eval_kernel_grid`` evaluates a kernel on a grid of coordinates.
 
 Every kernel is derived, not tabulated.  ``derive_kernel_oracle`` writes
@@ -65,9 +65,9 @@ class SpaceSpec:
 class PiecewiseKernel:
     """Bivariate piecewise-polynomial kernel K(x, y).
 
-    ``lower`` holds the branch for x <= y, ``upper`` for x > y, both as 6x6
-    monomial coefficient matrices.  ``order`` is the Sobolev order m; the
-    kernel is C^(2m-2) across the diagonal.
+    ``lower`` holds the branch for x <= y, ``upper`` for x > y, both as
+    (2m)x(2m) monomial coefficient matrices.  ``order`` is the Sobolev
+    order m; the kernel is C^(2m-2) across the diagonal.
     """
 
     lower: np.ndarray
@@ -75,10 +75,11 @@ class PiecewiseKernel:
     order: int
 
     def __post_init__(self):
+        n = 2 * self.order
         for name in ("lower", "upper"):
             mat = np.array(getattr(self, name), dtype=float)
-            if mat.shape != (6, 6):
-                raise ValueError(f"{name} branch must be 6x6")
+            if mat.shape != (n, n):
+                raise ValueError(f"{name} branch must be 2m x 2m = {n}x{n}")
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -102,7 +103,7 @@ def space_spec(space_id: str) -> SpaceSpec:
 # --------------------------------------------------------------------------
 
 # _FALLING[d, i] = i (i-1) ... (i-d+1), the monomial derivative factor, for
-# the 6x6 branch matrices
+# branch matrices up to 6x6 (order 3)
 _FALLING = np.array([[math.perm(i, d) for i in range(6)] for d in range(6)], dtype=float)
 
 
@@ -111,7 +112,7 @@ def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
     n = mat.shape[0]
     if dx >= n or dy >= n:
         return np.zeros((1, 1))
-    return mat[dx:, dy:] * _FALLING[dx, dx:, None] * _FALLING[dy, dy:]
+    return mat[dx:, dy:] * _FALLING[dx, dx:n, None] * _FALLING[dy, dy:n]
 
 
 def eval_kernel_grid(k: PiecewiseKernel, xs, ys, dx: int = 0, dy: int = 0) -> np.ndarray:
@@ -288,10 +289,7 @@ def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:
     branch is then polished so that the branch is exactly zero at x = 1; the
     lower branch is the transpose, so the kernel is exactly symmetric.
     """
-    c = np.array(_exact_coefficients(spec), dtype=float)
-    n = c.shape[0]
-    upper = np.zeros((6, 6))
-    upper[:n, :n] = c.T
+    upper = np.array(_exact_coefficients(spec), dtype=float).T.copy()
     if (0, 1) in spec.essential_constraints:
         _polish_columns_at_one(upper)
     return PiecewiseKernel(upper.T.copy(), upper, spec.order)

@@ -181,5 +181,5 @@ def evaluate_dx(sol: Solution, x: float, t: float) -> float:
 
 
 def solution_norm(sol: Solution) -> float:
-    """W-norm of the homogenized series, sqrt(sum B_i^2) by orthonormality."""
-    return float(np.sqrt(np.sum(sol.B ** 2)))
+    """W-norm of the homogenized series, sqrt(sum B_i^2) by orthonormality (norm_history[-1])."""
+    return float(sol.norm_history[-1])

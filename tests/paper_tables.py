@@ -75,11 +75,16 @@ def corrected_tables(space_id: str) -> dict:
 
 
 def table_kernel(space_id: str) -> PiecewiseKernel:
-    """The printed tables with the misprint corrected, rounded to doubles."""
+    """The printed tables with the misprint corrected, rounded to doubles.
+
+    Only their leading 2m x 2m block is kept, the size of an order-m
+    kernel's branches; ``printed_vs_exact`` checks that the rest is zero.
+    """
     branches = corrected_tables(space_id)
-    return PiecewiseKernel(np.array(branches["lower"], dtype=float),
-                           np.array(branches["upper"], dtype=float),
-                           spec_of(space_id).order)
+    order = spec_of(space_id).order
+    n = 2 * order
+    return PiecewiseKernel(np.array(branches["lower"], dtype=float)[:n, :n],
+                           np.array(branches["upper"], dtype=float)[:n, :n], order)
 
 
 def printed_vs_exact(space_id: str) -> list:

@@ -8,6 +8,7 @@ import pytest
 from rkwave import kernels
 from rkwave.errors import SingularSystem
 from rkwave.kernels import (
+    PiecewiseKernel,
     SpaceSpec,
     closed_form_kernel,
     derive_kernel_oracle,
@@ -86,6 +87,12 @@ def test_r_spatial_printed_entries():
 def test_kernel_coefficients_exactly_symmetric(sid):
     k = kernel_of(sid)
     assert np.array_equal(k.upper, k.lower.T)
+    # branches come at their natural size, 2m x 2m; zero padding is rejected
+    n = 2 * k.order
+    assert k.lower.shape == (n, n)
+    padded = np.pad(k.lower, (0, 2))
+    with pytest.raises(ValueError, match="2m x 2m"):
+        PiecewiseKernel(padded, padded.T, k.order)
 
 
 def test_misprinted_entry_holds_exact_value():

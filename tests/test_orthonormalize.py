@@ -25,9 +25,9 @@ def orthonormalizer(bf):
     return np.linalg.inv(bf.L)
 
 
-def make_gram(nx, nt):
+def make_gram(nx, nt, operator=WaveOperator()):
     grid = generate_collocation(nx, nt)
-    basis = RepresenterBasis(WaveOperator(), closed_form_kernel("R_spatial"),
+    basis = RepresenterBasis(operator, closed_form_kernel("R_spatial"),
                              closed_form_kernel("r_temporal"), grid.xis, grid.taus)
     return basis, gram_matrix(basis)
 
@@ -239,14 +239,20 @@ def relative_residual(low, x, b):
 
 def test_triangular_solves_are_backward_stable_on_a_gram_factor():
     # cond(A) ~ 1e14 at 24x24, so only the residual, not the error, is at
-    # rounding level; it is for both solves and both right-hand-side shapes
-    _, a = make_gram(24, 24)
-    bf = factor(a)
-    low = bf.L
+    # rounding level; it is for both solves and both right-hand-side shapes,
+    # with one product per diagonal block.  The operators are ex51's and
+    # ex52's (alpha = 1, gamma = 0.25 on [-1, 1] x [0, 1]).
     rng = np.random.default_rng(5)
-    for b in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
-        assert relative_residual(low, solve_lower(low, b, bf.block_inverses), b) <= 1e-14
-        assert relative_residual(low.T, solve_lower_t(low, b, bf.block_inverses), b) <= 1e-14
+    for operator in (WaveOperator(), WaveOperator(1.0, 0.25)):
+        for n in (24, 32):
+            _, a = make_gram(n, n, operator)
+            bf = factor(a)
+            low = bf.L
+            for b in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
+                x = solve_lower(low, b, bf.block_inverses)
+                assert relative_residual(low, x, b) <= 1e-14, (operator, n)
+                x = solve_lower_t(low, b, bf.block_inverses)
+                assert relative_residual(low.T, x, b) <= 1e-14, (operator, n)
 
 
 def condition_matrices():
