@@ -102,9 +102,9 @@ def space_spec(space_id: str) -> SpaceSpec:
 # evaluation
 # --------------------------------------------------------------------------
 
-# _FALLING[d, i] = i (i-1) ... (i-d+1), the monomial derivative factor, for
-# branch matrices up to 6x6 (order 3)
-_FALLING = np.array([[math.perm(i, d) for i in range(6)] for d in range(6)], dtype=float)
+def _falling(d: int, n: int) -> np.ndarray:
+    """i (i-1) ... (i-d+1) for i = d, ..., n-1: the factors the d-th derivative puts on x^i."""
+    return np.array([math.perm(i, d) for i in range(d, n)], dtype=float)
 
 
 def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -112,7 +112,7 @@ def _deriv_matrix(mat: np.ndarray, dx: int, dy: int) -> np.ndarray:
     n = mat.shape[0]
     if dx >= n or dy >= n:
         return np.zeros((1, 1))
-    return mat[dx:, dy:] * _FALLING[dx, dx:n, None] * _FALLING[dy, dy:n]
+    return mat[dx:, dy:] * _falling(dx, n)[:, None] * _falling(dy, n)
 
 
 def eval_kernel_grid(k: PiecewiseKernel, xs, ys, dx: int = 0, dy: int = 0) -> np.ndarray:

@@ -13,14 +13,21 @@ ex51 and ex52 from 8x8 to 56x56 grids, the normwise backward error
 ||L x - b|| / (||L|| ||x||) of these solves measures at most 2e-18
 (forward) and 2e-16 (back), below double precision's eps = 2.2e-16.
 
-L comes from LAPACK in double precision and is the only O(N^3) step.  As
-in LAPACK, only one triangle of A is read, and symmetry is the caller's
-precondition, not a check (``gram_matrix`` builds A bitwise symmetric).
-The condition number of A is estimated from a few solves against L
-(Hager's 1-norm estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's
-dlacn2), so it costs O(N^2) as well.  A pivot failure reports *which*
-leading minor broke: for collocation Gram matrices that index points at
-the first degenerate collocation point.
+L is the only O(N^3) step.  It is a left-looking blocked Cholesky factor
+(Golub and Van Loan, Matrix Computations, 4.2): each block of SOLVE_BLOCK
+columns is updated by one BLAS product with the columns left of it, its
+diagonal block is factored by LAPACK, and the rows below are one product
+with that block's inverse, the inverse the solves use.  So nearly all of
+its flops are matrix products, and numpy's Cholesky only ever sees a
+diagonal block.  On the Gram matrices of ex51 and ex52 from 8x8 to 48x48
+grids, the backward error ||L L^T - A||_F / ||A||_F measures at most
+3.3e-15.  As in LAPACK, only one triangle of A is read, and symmetry is
+the caller's precondition, not a check (``gram_matrix`` builds A bitwise
+symmetric).  The condition number of A is estimated from a few solves
+against L (Hager's 1-norm estimate of ||A^{-1}||_1 in Higham's form, as
+LAPACK's dlacn2), so it costs O(N^2) as well.  A pivot failure reports
+*which* leading minor broke: for collocation Gram matrices that index
+points at the first degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ from .errors import NotPositiveDefinite
 # input and a patched factor would corrupt every downstream diagnostic.
 PIVOT_RTOL = 1e-12
 
-# Rows per diagonal block of the triangular solves.  Each block's inverse is
-# one small LAPACK solve per factor; a solve reads only those inverses and
-# L's off-diagonal blocks, and makes two BLAS products per block.
+# Columns per block of the factor and rows per diagonal block of the
+# triangular solves.  Each block's inverse is one small LAPACK solve per
+# factor; a solve reads only those inverses and L's off-diagonal blocks, and
+# makes two BLAS products per block.
 SOLVE_BLOCK = 32
 
 # Iterations of the 1-norm estimate, counting the first, as in dlacn2.
@@ -49,8 +57,9 @@ ESTIMATE_ITERATIONS = 5
 class GramFactor:
     """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag.
 
-    ``block_inverses`` stand in for L's diagonal blocks in the triangular
-    solves, one product each.
+    ``block_inverses`` are the inverses of L's SOLVE_BLOCK x SOLVE_BLOCK
+    diagonal blocks (the last one smaller), formed while factoring; they
+    stand in for those blocks in the triangular solves, one product each.
     ``condition_estimate`` is ||A||_1 times an estimate of ||A^{-1}||_1: a
     lower bound on cond_1(A) that is usually exact.
     """
@@ -66,9 +75,9 @@ class GramFactor:
         object.__setattr__(self, "L", low)
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
+def _cholesky(m: np.ndarray, tiny: float) -> np.ndarray:
     """numpy.linalg.cholesky(m), from m's lower triangle; NotPositiveDefinite names the
-    first pivot not above PIVOT_RTOL times the largest diagonal, else the first LAPACK refuses."""
+    first pivot whose square is not above ``tiny``, else the first LAPACK refuses."""
     try:
         low, bad = np.linalg.cholesky(m), None
     except np.linalg.LinAlgError:
@@ -84,7 +93,7 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
                 good = mid
             except np.linalg.LinAlgError:
                 bad = mid
-    small = np.flatnonzero(np.diag(low) ** 2 <= PIVOT_RTOL * max(float(np.max(np.diag(m))), 0.0))
+    small = np.flatnonzero(np.diag(low) ** 2 <= tiny)
     if small.size:
         raise NotPositiveDefinite(int(small[0]))
     if bad is not None:
@@ -133,45 +142,50 @@ def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
 def factor(gram) -> GramFactor:
     """Cholesky factor of a symmetric positive definite Gram matrix.
 
-    Computes A = L L^T with LAPACK and returns L together with the
-    inverses of its diagonal blocks and an O(N^2) estimate of cond_1(A)
-    from solves against L (see GramFactor).  A must be symmetric: as in
-    LAPACK, one triangle is factored, here the upper one (L is
-    numpy.linalg.cholesky of A^T), and the strict lower triangle is not
-    read or checked, except by ||A||_1 in the estimate.  Raises
-    NotPositiveDefinite(k) when the k-th pivot is not above PIVOT_RTOL
-    times the largest diagonal entry, and ValueError for input that is
-    not square or whose 1-norm is not finite (a NaN or inf entry).
+    Computes A = L L^T by left-looking blocked Cholesky over SOLVE_BLOCK
+    columns at a time and returns L together with the inverses of its
+    diagonal blocks and an O(N^2) estimate of cond_1(A) from solves against
+    L (see GramFactor).  A must be symmetric: as in LAPACK, one triangle is
+    factored, here the upper one (the lower triangle of A^T), and the strict
+    lower triangle is not read or checked, except by ||A||_1 in the
+    estimate.  Raises NotPositiveDefinite(k) for the first pivot k whose
+    square is not above PIVOT_RTOL times the largest diagonal entry, or at
+    which LAPACK refuses the block holding it, and ValueError for input that
+    is not square or whose 1-norm is not finite (a NaN or inf entry).
     """
     a = np.asarray(gram, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("gram matrix must be square with n >= 1")
+    n = len(a)
     norm = float(np.max(sum(np.abs(a[k:k + SOLVE_BLOCK]).sum(axis=0)  # no N x N |A|
-                            for k in range(0, len(a), SOLVE_BLOCK))))
+                            for k in range(0, n, SOLVE_BLOCK))))
     if not np.isfinite(norm):  # a NaN or inf entry makes the norm NaN or inf
         raise ValueError("gram matrix must be finite")
-    low = _cholesky(a.T)  # F-contiguous: numpy hands it to LAPACK without transposing
-    blocks = block_inverses(low)
-    return GramFactor(low, norm * _inverse_norm1(low, blocks), blocks)
-
-
-def block_inverses(low: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The inverses of L's SOLVE_BLOCK x SOLVE_BLOCK diagonal blocks, the last one smaller.
-
-    Each is one small LAPACK solve against the identity, made once per
-    factor rather than once per right-hand side.  The triangular solves
-    multiply by them and never read L's diagonal blocks.
-    """
-    n = low.shape[0]
-    blocks = (low[k:k + SOLVE_BLOCK, k:k + SOLVE_BLOCK] for k in range(0, n, SOLVE_BLOCK))
-    return tuple(np.linalg.solve(d, np.eye(len(d))) for d in blocks)
+    tiny = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
+    low = np.zeros((n, n))
+    inverses = []
+    for k in range(0, n, SOLVE_BLOCK):
+        e = min(k + SOLVE_BLOCK, n)
+        # columns k:e of A^T less the part of L L^T that the columns left of k
+        # already account for; a.T[k:, k:e] is rows k:e of A, read contiguously
+        col = a.T[k:, k:e] - low[k:, :k] @ low[k:e, :k].T
+        try:
+            d = _cholesky(col[:e - k], tiny)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(k + exc.index) from None
+        inv = np.linalg.solve(d, np.eye(e - k))
+        low[k:e, k:e] = d
+        low[e:, k:e] = col[e - k:] @ inv.T
+        inverses.append(inv)
+    inverses = tuple(inverses)
+    return GramFactor(low, norm * _inverse_norm1(low, inverses), inverses)
 
 
 def solve_lower(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:
     """x with L x = rhs for lower-triangular L, by blocked forward substitution.
 
     ``rhs`` is a vector or a matrix of right-hand-side columns and
-    ``inverses`` are L's ``block_inverses``.  Each block of x is one product
+    ``inverses`` are ``GramFactor.block_inverses`` of L.  Each block of x is one product
     with its inverse after the coupling product, with a normwise backward
     error at rounding level (see the module docstring).  Costs O(N^2) per
     column, where np.linalg.solve would run an O(N^3) LU of L.

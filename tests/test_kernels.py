@@ -294,6 +294,28 @@ def test_kernel_is_positive_definite_at_every_order(m):
     assert all([exact_jump(c, d, y) for d in range(2 * m)] == jumps for y in ys)
 
 
+def exact_derivative(c, x, y, dx, dy):
+    """d^dx_x d^dy_y K(x, y) from the exact lower-branch coefficients c, branch x <= y."""
+    n = len(c)
+    coef = (lambda i, j: c[i][j]) if x <= y else (lambda i, j: c[j][i])
+    return sum(coef(i, j) * math.perm(i, dx) * math.perm(j, dy) * x ** (i - dx) * y ** (j - dy)
+               for i in range(dx, n) for j in range(dy, n))
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (0, 2), (2, 2), (3, 3)])
+def test_grid_evaluates_an_order4_kernel(dx, dy):
+    # 8x8 branches; dx + dy <= 2m - 2 = 6 keeps the diagonal points valid.
+    # The points are dyadic, so each double is the rational it stands for
+    spec = SpaceSpec(4, ((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 0), (2, 0), (3, 0)))
+    c = kernels._exact_coefficients(spec)
+    pts = [Fraction(k, 16) for k in (0, 1, 5, 8, 11, 16)]
+    got = eval_kernel_grid(derive_kernel_oracle(spec), [float(p) for p in pts],
+                           [float(p) for p in pts[1:4]], dx, dy)
+    want = np.array([[float(exact_derivative(c, x, y, dx, dy)) for y in pts[1:4]] for x in pts])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("sid", ORDER3_IDS)
 def test_order3_coefficients_are_exactly_the_corrected_tables(sid):
     assert kernels._exact_coefficients(spec_of(sid)) == corrected_tables(sid)["lower"]

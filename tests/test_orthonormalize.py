@@ -9,7 +9,6 @@ from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
     GramFactor,
-    block_inverses,
     factor,
     solve_lower,
     solve_lower_t,
@@ -137,16 +136,101 @@ def mirrored(a):
     return np.triu(a) + np.triu(a, 1).T
 
 
+def backward_error(low, a):
+    return np.linalg.norm(low @ low.T - a) / np.linalg.norm(a)
+
+
 def test_factor_reads_only_the_upper_triangle():
     # as in LAPACK, one triangle is read and symmetry is the caller's
-    # precondition: finite garbage below the diagonal leaves L alone, and
-    # on a symmetric matrix L is numpy's own factor of it, bit for bit
+    # precondition: finite garbage below the diagonal leaves L alone.  With
+    # one block (N <= SOLVE_BLOCK) L is numpy's own factor, bit for bit; the
+    # 8x8 Gram matrix (N = 64, two blocks) is held to the backward error
     rng = np.random.default_rng(9)
     for a in (mirrored(spd_8x8()), make_gram(8, 8)[1]):
         garbage = np.triu(a) + np.tril(rng.uniform(-1e3, 1e3, a.shape), -1)
         low = factor(a).L
         assert np.array_equal(factor(garbage).L, low)
-        assert np.array_equal(low, np.linalg.cholesky(a))
+        if len(a) <= SOLVE_BLOCK:
+            assert np.array_equal(low, np.linalg.cholesky(a))
+        else:
+            assert backward_error(low, a) <= 1e-14
+
+
+@pytest.mark.parametrize("operator", [WaveOperator(), WaveOperator(1.0, 0.25)],
+                         ids=["ex51", "ex52"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_blocked_factor_is_backward_stable_on_gram_matrices(operator, n):
+    # ||L L^T - A||_F / ||A||_F at rounding level although cond(A) reaches
+    # 1e15 at 32x32; the operators are ex51's and ex52's (alpha = 1,
+    # gamma = 0.25 on [-1, 1] x [0, 1])
+    _, a = make_gram(n, n, operator)
+    assert backward_error(factor(a).L, a) <= 1e-14
+
+
+def spd_100x100():
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((100, 100))
+    return m @ m.T + 100 * np.eye(100)
+
+
+@pytest.mark.parametrize("index", [64, 70])
+def test_dependent_row_past_the_first_block_bisects_to_its_index(index):
+    # as the 8x8 case, in the third block: at its first row and inside it
+    a = spd_100x100()
+    c = np.zeros(100)
+    c[10], c[45] = 0.6, -1.3
+    a[index, :] = a[:, index] = a @ c
+    a[index, index] = c @ a @ c * (1.0 - 1e-9)
+    np.linalg.cholesky(a[:index, :index])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a[:index + 1, :index + 1])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor(a)
+    assert exc.value.index == index
+
+
+def test_tiny_pivot_in_one_block_is_reported_before_a_failing_one_in_a_later_block():
+    # index 40 (second block) is below the threshold and index 75 (third
+    # block) is negative
+    a = spd_100x100()
+    low = np.linalg.cholesky(a)
+    low[40, 40] = np.sqrt(0.5 * PIVOT_RTOL * np.max(np.diag(a)))
+    a = low @ low.T
+    a[75, 75] -= 2.0 * low[75, 75] ** 2
+    np.linalg.cholesky(a[:75, :75])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a[:76, :76])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor(a)
+    assert exc.value.index == 40
+
+
+def test_pivot_threshold_scales_with_the_largest_diagonal_of_a_not_of_the_block():
+    # the first block's diagonal is 1e6 times smaller than the rest, and
+    # its pivot at index 10 is tiny only against A's largest diagonal entry
+    scale = np.where(np.arange(100) < SOLVE_BLOCK, 1.0, 1e3)
+    low = np.linalg.cholesky(spd_100x100()) * scale[:, None]
+    a = low @ low.T
+    low[10, 10] = np.sqrt(0.5 * PIVOT_RTOL * np.max(np.diag(a)))
+    a = low @ low.T
+    assert low[10, 10] ** 2 > 1e3 * PIVOT_RTOL * np.max(np.diag(a)[:SOLVE_BLOCK])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor(a)
+    assert exc.value.index == 10
+
+
+@pytest.mark.parametrize("index", [31, 32, 63, 64])
+def test_tiny_pivot_at_a_block_boundary(index):
+    # the last and the first pivot on either side of the first two block
+    # boundaries (SOLVE_BLOCK = 32)
+    a = spd_100x100()
+    low = np.linalg.cholesky(a)
+    low[index, index] = np.sqrt(0.5 * PIVOT_RTOL * np.max(np.diag(a)))
+    a = low @ low.T
+    assert np.all(np.diag(np.linalg.cholesky(a)) > 0.0)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor(a)
+    assert exc.value.index == index
 
 
 def test_pivot_failure_reads_only_the_upper_triangle():
@@ -222,8 +306,10 @@ def test_permutation_covariance():
 @pytest.mark.parametrize("n", [1, 2 * SOLVE_BLOCK - 1, 2 * SOLVE_BLOCK, 4 * SOLVE_BLOCK + 5])
 def test_blocked_triangular_solves_match_linalg_solve(n):
     rng = np.random.default_rng(n)
-    low = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
-    inverses = block_inverses(low)
+    m = rng.standard_normal((n, n))
+    bf = factor(m @ m.T + n * np.eye(n))
+    low, inverses = bf.L, bf.block_inverses
+    assert len(inverses) == -(-n // SOLVE_BLOCK)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         before = rhs.copy()
         assert np.allclose(solve_lower(low, rhs, inverses), np.linalg.solve(low, rhs), rtol=0,

@@ -151,9 +151,10 @@ def test_solve_builds_no_n_by_n_kernel_matrix(ex52_hp, monkeypatch):
 
 
 def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
-    # one factorization per solve; the condition estimate and every sweep
-    # work from L, with no eigen-, singular-value or inverse computation,
-    # and general solves only on diagonal blocks of L
+    # one blocked factorization per solve, with LAPACK's Cholesky only on
+    # its SOLVE_BLOCK diagonal blocks; the condition estimate and every
+    # sweep work from L, with no eigen-, singular-value or inverse
+    # computation, and general solves only on diagonal blocks of L
     calls = []
     cholesky, linalg_solve = np.linalg.cholesky, np.linalg.solve
 
@@ -173,7 +174,7 @@ def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
     for name in ("eigvalsh", "eigh", "inv", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     sol = solver.solve(ex52_hp, generate_collocation(16, 16))
-    assert calls == [(256, 256)]
+    assert calls == [(SOLVE_BLOCK, SOLVE_BLOCK)] * (256 // SOLVE_BLOCK)
     assert sol.sweeps_used == 5 and np.isfinite(sol.beta.condition_estimate)
 
 
