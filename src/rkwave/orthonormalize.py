@@ -23,11 +23,13 @@ diagonal block.  On the Gram matrices of ex51 and ex52 from 8x8 to 48x48
 grids, the backward error ||L L^T - A||_F / ||A||_F measures at most
 3.3e-15.  As in LAPACK, only one triangle of A is read, and symmetry is
 the caller's precondition, not a check (``gram_matrix`` builds A bitwise
-symmetric).  The condition number of A is estimated from a few solves
-against L (Hager's 1-norm estimate of ||A^{-1}||_1 in Higham's form, as
-LAPACK's dlacn2), so it costs O(N^2) as well.  A pivot failure reports
-*which* leading minor broke: for collocation Gram matrices that index
-points at the first degenerate collocation point.
+symmetric).  Also as in LAPACK's dpotrf, L overwrites A, which each block
+reads once, so a solve holds one N x N array, not two.  The condition
+number of A is estimated from a few solves against L (Hager's 1-norm
+estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's dlacn2), so it
+costs O(N^2) as well.  A pivot failure reports *which* leading minor
+broke: for collocation Gram matrices that index points at the first
+degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class GramFactor:
     block_inverses: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        low = np.asarray(self.L, dtype=float)  # no copy: factor hands over its own L
+        low = np.asarray(self.L, dtype=float)  # no copy: from factor, L is the caller's A
         low.setflags(write=False)
         object.__setattr__(self, "L", low)
 
@@ -148,12 +150,15 @@ def factor(gram) -> GramFactor:
     L (see GramFactor).  A must be symmetric: as in LAPACK, one triangle is
     factored, here the upper one (the lower triangle of A^T), and the strict
     lower triangle is not read or checked, except by ||A||_1 in the
-    estimate.  Raises NotPositiveDefinite(k) for the first pivot k whose
-    square is not above PIVOT_RTOL times the largest diagonal entry, or at
-    which LAPACK refuses the block holding it, and ValueError for input that
-    is not square or whose 1-norm is not finite (a NaN or inf entry).
+    estimate.  Also as in LAPACK, L overwrites the argument, read-only from
+    then on, if it is a writeable float array; other input is copied first.
+    Raises NotPositiveDefinite(k), with the argument partly overwritten, for
+    the first pivot k whose square is not above PIVOT_RTOL times the largest
+    diagonal entry, or at which LAPACK refuses the block holding it, and
+    ValueError, with it untouched, for input that is not square or whose
+    1-norm is not finite (a NaN or inf entry).
     """
-    a = np.asarray(gram, dtype=float)
+    a = np.require(gram, dtype=float, requirements="W")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("gram matrix must be square with n >= 1")
     n = len(a)
@@ -162,12 +167,13 @@ def factor(gram) -> GramFactor:
     if not np.isfinite(norm):  # a NaN or inf entry makes the norm NaN or inf
         raise ValueError("gram matrix must be finite")
     tiny = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    low = np.zeros((n, n))
+    low = a
     inverses = []
     for k in range(0, n, SOLVE_BLOCK):
         e = min(k + SOLVE_BLOCK, n)
         # columns k:e of A^T less the part of L L^T that the columns left of k
         # already account for; a.T[k:, k:e] is rows k:e of A, read contiguously
+        # and for the last time, so L's rows k:e (d, then zeros) overwrite them
         col = a.T[k:, k:e] - low[k:, :k] @ low[k:e, :k].T
         try:
             d = _cholesky(col[:e - k], tiny)
@@ -175,6 +181,7 @@ def factor(gram) -> GramFactor:
             raise NotPositiveDefinite(k + exc.index) from None
         inv = np.linalg.solve(d, np.eye(e - k))
         low[k:e, k:e] = d
+        low[k:e, e:] = 0.0
         low[e:, k:e] = col[e - k:] @ inv.T
         inverses.append(inv)
     inverses = tuple(inverses)

@@ -158,7 +158,7 @@ def test_criterion_04_gram_correctness():
     for n in (3, 6, 9, 12):
         a = gram_matrix(basis_for_grid(n))
         spd_ok &= bool(np.min(np.linalg.eigvalsh(a)) > 0.0)
-        beta = np.linalg.inv(factor(a).L)
+        beta = np.linalg.inv(factor(a.copy()).L)
         recon[n] = float(np.max(np.abs(beta @ a @ beta.T - np.eye(len(a)))))
     print(f"  beta reconstruction residuals by grid: "
           + ", ".join(f"{n}x{n}: {recon[n]:.2e}" for n in sorted(recon)))

@@ -58,7 +58,7 @@ def test_random_spd_reconstruction():
     for n in (1, 2, 5, 12, 40):
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
-        bf = factor(a)
+        bf = factor(a.copy())
         beta = orthonormalizer(bf)
         assert np.max(np.abs(beta @ a @ beta.T - np.eye(n))) < 1e-8
         assert np.all(np.diag(bf.L) > 0.0)
@@ -148,12 +148,39 @@ def test_factor_reads_only_the_upper_triangle():
     rng = np.random.default_rng(9)
     for a in (mirrored(spd_8x8()), make_gram(8, 8)[1]):
         garbage = np.triu(a) + np.tril(rng.uniform(-1e3, 1e3, a.shape), -1)
-        low = factor(a).L
+        low = factor(a.copy()).L
         assert np.array_equal(factor(garbage).L, low)
         if len(a) <= SOLVE_BLOCK:
             assert np.array_equal(low, np.linalg.cholesky(a))
         else:
             assert backward_error(low, a) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 64, 100], ids=["one_block", "two_blocks", "four_blocks"])
+def test_factor_overwrites_its_argument_with_l(n):
+    # as LAPACK's dpotrf: a writeable float array becomes L; other input is
+    # copied and left alone, and rejected input is left as it was
+    a = {8: spd_8x8, 64: lambda: make_gram(8, 8)[1], 100: spd_100x100}[n]()
+    low = factor(a.copy()).L
+    read_only = a.copy()
+    read_only.setflags(write=False)
+    for other in (a.tolist(), read_only):
+        before = np.array(other)
+        assert np.array_equal(factor(other).L, low)
+        assert np.array_equal(np.array(other), before)
+    m = np.random.default_rng(n).integers(-3, 4, (n, n))
+    ints = m @ m.T + n * np.eye(n, dtype=int)
+    before = ints.copy()
+    assert np.array_equal(factor(ints).L, factor(ints.astype(float)).L)
+    assert np.array_equal(ints, before)
+    bad = a.copy()
+    bad[n // 2, n - 1] = np.nan
+    before = bad.copy()
+    with pytest.raises(ValueError, match="finite"):
+        factor(bad)
+    assert np.array_equal(bad, before, equal_nan=True)
+    bf = factor(a)
+    assert np.shares_memory(bf.L, a) and np.array_equal(bf.L, low)
 
 
 @pytest.mark.parametrize("operator", [WaveOperator(), WaveOperator(1.0, 0.25)],
@@ -164,7 +191,7 @@ def test_blocked_factor_is_backward_stable_on_gram_matrices(operator, n):
     # 1e15 at 32x32; the operators are ex51's and ex52's (alpha = 1,
     # gamma = 0.25 on [-1, 1] x [0, 1])
     _, a = make_gram(n, n, operator)
-    assert backward_error(factor(a).L, a) <= 1e-14
+    assert backward_error(factor(a.copy()).L, a) <= 1e-14
 
 
 def spd_100x100():
@@ -266,7 +293,7 @@ def test_condition_estimate_diagonal():
 def test_gram_reconstruction_small_grids():
     for nx in (2, 3):
         _, a = make_gram(nx, nx)
-        beta = orthonormalizer(factor(a))
+        beta = orthonormalizer(factor(a.copy()))
         assert np.max(np.abs(beta @ a @ beta.T - np.eye(len(a)))) < 1e-8
 
 
@@ -297,7 +324,7 @@ def test_permutation_covariance():
     rng = np.random.default_rng(0)
     perm = rng.permutation(n)
     p = np.eye(n)[perm]
-    beta = orthonormalizer(factor(a))
+    beta = orthonormalizer(factor(a.copy()))
     beta_p = orthonormalizer(factor(p @ a @ p.T))
     cross = beta_p @ p @ a @ beta.T  # <new_i, old_j>_W
     assert np.max(np.abs(cross @ cross.T - np.eye(n))) < 1e-8

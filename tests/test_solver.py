@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
 
 def test_solution_factor_is_read_only(ex51_sol_9):
     assert ex51_sol_9.beta.L.flags.writeable is False
+
+
+def test_solve_holds_one_n_by_n_array(ex51_hp):
+    # factor writes L over the A that gram_matrix built, so A and L never
+    # coexist: a whole 32x32 solve peaks near one N x N array, not two
+    n = 32 * 32
+    tracemalloc.start()
+    try:
+        solver.solve(ex51_hp, generate_collocation(32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_evaluate_accuracy_benchmark(ex51, ex51_sol_9):
