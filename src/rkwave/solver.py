@@ -23,7 +23,7 @@ The collocation points are a tensor grid off the dead edges xi = 0, 1 and
 tau = 0, where every representer vanishes (the paper's first point, the
 origin, only anchors v = 0).  A and Psi c come from the grid's 1-D kernel
 matrices, and ``factor`` writes L over A, so A, then L, is the only N x N
-array of a solve.
+array of a solve, in a memory mapping of its own (``gram_matrix``).
 
 Evaluation is a cell lookup: every solution carries the per-cell table of
 its series (``wave_operator.series_table``), so a point costs the same at

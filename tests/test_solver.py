@@ -185,7 +185,8 @@ def test_solution_factor_is_read_only(ex51_sol_9):
 
 def test_solve_holds_one_n_by_n_array(ex51_hp):
     # factor writes L over the A that gram_matrix built, so A and L never
-    # coexist: a whole 32x32 solve peaks near one N x N array, not two
+    # coexist: a whole 32x32 solve peaks near one N x N array, not two.  A is
+    # a memory mapping, which tracemalloc does not trace, so it is added here
     n = 32 * 32
     tracemalloc.start()
     try:
@@ -193,7 +194,7 @@ def test_solve_holds_one_n_by_n_array(ex51_hp):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * n * 8
+    assert n * n * 8 + peak <= 1.25 * n * n * 8
 
 
 def test_evaluate_accuracy_benchmark(ex51, ex51_sol_9):
