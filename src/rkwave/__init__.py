@@ -30,7 +30,6 @@ from .problems import (
     homogenize,
 )
 from .solver import (
-    CollocationSet,
     Solution,
     evaluate,
     evaluate_dx,

@@ -111,17 +111,19 @@ def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     moves to the unit vector e_j at the largest entry of the gradient
     A^{-1} sign(A^{-1} x) (A^{-1} is symmetric), until the sign vector
     repeats, the estimate stops growing, the same entry leads again or
-    ESTIMATE_ITERATIONS is reached.  Higham's alternating vector then
-    guards against an ascent that stalled in a local maximum.
+    ESTIMATE_ITERATIONS is reached.  Higham's alternating vector guards
+    against an ascent that stalled in a local maximum; it is solved with
+    the start vector, as one two-column pass over L.
     """
     n = low.shape[0]
 
     def inv(v):
         return solve_lower_t(low, solve_lower(low, v, blocks), blocks)
 
-    y = inv(np.full(n, 1.0 / n))
     if n == 1:
-        return float(abs(y[0]))
+        return float(abs(inv(np.ones(1))[0]))
+    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    y, y_alt = inv(np.column_stack([np.full(n, 1.0 / n), alternating])).T
     est = float(np.sum(np.abs(y)))
     signs = np.where(y >= 0.0, 1.0, -1.0)
     z = inv(signs)
@@ -137,8 +139,7 @@ def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
-    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    return max(est, 2.0 * float(np.sum(np.abs(inv(alternating)))) / (3 * n))
+    return max(est, 2.0 * float(np.sum(np.abs(y_alt))) / (3 * n))
 
 
 def factor(gram) -> GramFactor:
@@ -149,21 +150,29 @@ def factor(gram) -> GramFactor:
     diagonal blocks and an O(N^2) estimate of cond_1(A) from solves against
     L (see GramFactor).  A must be symmetric: as in LAPACK, one triangle is
     factored, here the upper one (the lower triangle of A^T), and the strict
-    lower triangle is not read or checked, except by ||A||_1 in the
-    estimate.  Also as in LAPACK, L overwrites the argument, read-only from
+    lower triangle is neither read nor checked, ||A||_1 in the estimate
+    included.  Also as in LAPACK, L overwrites the argument, read-only from
     then on, if it is a writeable float array; other input is copied first.
     Raises NotPositiveDefinite(k), with the argument partly overwritten, for
     the first pivot k whose square is not above PIVOT_RTOL times the largest
     diagonal entry, or at which LAPACK refuses the block holding it, and
     ValueError, with it untouched, for input that is not square or whose
-    1-norm is not finite (a NaN or inf entry).
+    1-norm is not finite (a NaN or inf entry in the upper triangle).
     """
     a = np.require(gram, dtype=float, requirements="W")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("gram matrix must be square with n >= 1")
     n = len(a)
-    norm = float(np.max(sum(np.abs(a[k:k + SOLVE_BLOCK]).sum(axis=0)  # no N x N |A|
-                            for k in range(0, n, SOLVE_BLOCK))))
+    # ||A||_1 from the upper triangle and no N x N |A|: column j sums |A| over
+    # the diagonal, its strict upper part and, by symmetry, that of row j
+    sums, lower = np.abs(np.diagonal(a)), np.tri(SOLVE_BLOCK, dtype=bool)
+    for k in range(0, n, SOLVE_BLOCK):
+        rows = np.abs(a[k:k + SOLVE_BLOCK, k:])  # rows k:e from column k on
+        b = len(rows)
+        rows[:, :b][lower[:b, :b]] = 0.0  # leaving their strict upper part
+        sums[k:] += rows.sum(axis=0)
+        sums[k:k + b] += rows.sum(axis=1)
+    norm = float(np.max(sums))
     if not np.isfinite(norm):  # a NaN or inf entry makes the norm NaN or inf
         raise ValueError("gram matrix must be finite")
     tiny = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)

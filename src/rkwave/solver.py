@@ -19,11 +19,13 @@ of v the first sweep is exact and the second merely confirms it.  (The
 paper's sequential recursion B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k))
 has the same fixed point.)
 
-The collocation points are a tensor grid off the dead edges xi = 0, 1 and
-tau = 0, where every representer vanishes (the paper's first point, the
-origin, only anchors v = 0).  A and Psi c come from the grid's 1-D kernel
-matrices, and ``factor`` writes L over A, so A, then L, is the only N x N
-array of a solve, in a memory mapping of its own (``gram_matrix``).
+The collocation grid is a coordinate pair (xis, taus), whose tensor points
+``wave_operator.RepresenterBasis`` holds; ``solve`` keeps them off the dead
+edges xi = 0, 1 and tau = 0, where every representer vanishes (the paper's
+first point, the origin, only anchors v = 0).  A and Psi c come from the
+grid's 1-D kernel matrices, and ``factor`` writes L over A, so A, then L,
+is the only N x N array of a solve, in a memory mapping of its own
+(``gram_matrix``).
 
 Evaluation is a cell lookup: every solution carries the per-cell table of
 its series (``wave_operator.series_table``), so a point costs the same at
@@ -42,35 +44,16 @@ import numpy as np
 
 from . import wave_operator
 from .errors import NonFiniteValue, NotPositiveDefinite
-from .kernels import closed_form_kernel
 from .orthonormalize import GramFactor, factor, solve_lower, solve_lower_t
-from .wave_operator import RepresenterBasis, SeriesTable, grid_coordinates, series_table
+from .wave_operator import RepresenterBasis, SeriesTable, series_table
 
 
-@dataclass(frozen=True)
-class CollocationSet:
-    """The collocation grid: strictly increasing xis in (0, 1) and taus in (0, 1].
-
-    Point j nx + i is (xis[i], taus[j]), all xi at one tau before the next tau.
-    """
-
-    xis: tuple[float, ...]
-    taus: tuple[float, ...]
-
-    def __post_init__(self):
-        xis, taus = grid_coordinates("xis", self.xis), grid_coordinates("taus", self.taus)
-        if not (0.0 < xis[0] and xis[-1] < 1.0 and 0.0 < taus[0] and taus[-1] <= 1.0):
-            raise ValueError(f"grid {xis} x {taus} touches a dead edge of the canonical square")
-        object.__setattr__(self, "xis", xis)
-        object.__setattr__(self, "taus", taus)
-
-
-def generate_collocation(nx: int, nt: int) -> CollocationSet:
-    """The uniform interior grid xi_i = i/(nx+1), tau_j = j/(nt+1), i, j >= 1."""
+def generate_collocation(nx: int, nt: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The uniform interior grid (xis, taus): xi_i = i/(nx+1), tau_j = j/(nt+1), i, j >= 1."""
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
-    return CollocationSet(tuple((i + 1) / (nx + 1) for i in range(nx)),
-                          tuple((j + 1) / (nt + 1) for j in range(nt)))
+    return (tuple((i + 1) / (nx + 1) for i in range(nx)),
+            tuple((j + 1) / (nt + 1) for j in range(nt)))
 
 
 @dataclass
@@ -139,8 +122,8 @@ def _source_values(hp, pts, vals: np.ndarray) -> np.ndarray:
     return m
 
 
-def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
-    """Solve the homogenized problem on the given collocation grid.
+def solve(hp, grid, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
+    """Solve the homogenized problem on the collocation grid ``grid`` = (xis, taus).
 
     Each sweep solves A c = M(p, v) with v the previous sweep's solution
     values at the points (v = 0 for the first sweep), and the sweeps stop
@@ -149,11 +132,15 @@ def solve(hp, pts: CollocationSet, outer_sweeps: int = 5, tol: float = 1e-10) ->
     of sweeps run is ``sweeps_used``, ``converged`` says whether the last
     one moved the values by at most ``tol``, and ``last_update`` by how much.
     A Gram pivot failure raises NotPositiveDefinite naming its collocation point.
+    A grid off (0, 1) x (0, 1] touches a dead edge and raises ValueError before
+    assembly, as do coordinates that are not strictly increasing (``RepresenterBasis``).
     """
     if outer_sweeps < 1:
         raise ValueError("outer_sweeps must be >= 1")
-    basis = RepresenterBasis(hp.problem.domain.operator, closed_form_kernel("R_spatial"),
-                             closed_form_kernel("r_temporal"), pts.xis, pts.taus)
+    basis = RepresenterBasis(hp.problem.domain.operator, *grid)
+    xis, taus = basis.xis, basis.taus
+    if not (0.0 < xis[0] and xis[-1] < 1.0 and 0.0 < taus[0] and taus[-1] <= 1.0):
+        raise ValueError(f"grid {xis} x {taus} touches a dead edge of the canonical square")
     try:
         bf = factor(wave_operator.gram_matrix(basis))
     except NotPositiveDefinite as exc:

@@ -17,9 +17,11 @@ Applying that identity to Psi_j itself gives the closed-form Gram entry
 a four-term combination of kernel derivatives of order at most 2 per slot,
 which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 
-The collocation points form a tensor grid and every term is a space factor
-times a time factor, so A and the series values at the points are built
-from 1-D kernel matrices on the grid coordinates, never an N x N one.
+The collocation points form a tensor grid, whose coordinates
+``RepresenterBasis`` validates and holds with the two order-3 kernels, and
+every term is a space factor times a time factor, so A and the series
+values at the points are built from 1-D kernel matrices on the grid
+coordinates, never an N x N one.
 Each symmetric quantity among them is computed once, so A = A^T exactly.
 Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
 one bivariate polynomial of degree 5 in each variable on each cell of the
@@ -43,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import PiecewiseKernel, eval_kernel_grid
+from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid
 
 
 @dataclass(frozen=True)
@@ -59,43 +61,33 @@ class WaveOperator:
             raise ValueError(f"coefficients {a}, {g} and products must be positive and finite")
 
 
-def grid_coordinates(name: str, values) -> tuple[float, ...]:
-    """``values`` as floats; ValueError unless nonempty and strictly increasing."""
-    coords = tuple(float(v) for v in values)
-    if not coords or not all(lo < hi for lo, hi in zip(coords, coords[1:])):
-        raise ValueError(f"{name} must be nonempty and strictly increasing, got {coords}")
-    return coords
-
-
 @dataclass(frozen=True)
 class RepresenterBasis:
     """Representer functions Psi_i on the tensor grid of collocation points.
 
-    Point i = j nx + k is (xis[k], taus[j]), listed in that order by
-    ``points`` and, as read-only arrays, by ``xs`` and ``ts``.
+    ``xis`` and ``taus`` become tuples of floats, nonempty and strictly
+    increasing or ValueError.  Point i = j nx + k is (xis[k], taus[j]),
+    listed in that order by ``points``.  The kernels are the order-3
+    closed forms R of the space and r of the time factor
+    (``kernels.closed_form_kernel``).
     """
 
     operator: WaveOperator
-    space_kernel: PiecewiseKernel
-    time_kernel: PiecewiseKernel
     xis: tuple[float, ...]
     taus: tuple[float, ...]
     points: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-    xs: np.ndarray = field(init=False, repr=False, compare=False)
-    ts: np.ndarray = field(init=False, repr=False, compare=False)
+    space_kernel: PiecewiseKernel = field(init=False, repr=False, compare=False)
+    time_kernel: PiecewiseKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Gram assembly takes two derivatives per slot; only order-3 kernels
-        # keep that below the diagonal-smoothness limit 2m-2.
-        if self.space_kernel.order != 3 or self.time_kernel.order != 3:
-            raise ValueError("representer basis requires order-3 kernels in both factors")
-        xis, taus = grid_coordinates("xis", self.xis), grid_coordinates("taus", self.taus)
-        xs, ts = np.tile(xis, len(taus)), np.repeat(taus, len(xis))
-        for arr in (xs, ts):
-            arr.setflags(write=False)
-        for name, value in dict(xis=xis, taus=taus, xs=xs, ts=ts,
-                                points=tuple(zip(xs.tolist(), ts.tolist()))).items():
-            object.__setattr__(self, name, value)
+        for name in ("xis", "taus"):
+            coords = tuple(float(v) for v in getattr(self, name))
+            if not coords or not all(lo < hi for lo, hi in zip(coords, coords[1:])):
+                raise ValueError(f"{name} must be nonempty and strictly increasing, got {coords}")
+            object.__setattr__(self, name, coords)
+        object.__setattr__(self, "points", tuple((x, t) for t in self.taus for x in self.xis))
+        object.__setattr__(self, "space_kernel", closed_form_kernel("R_spatial"))
+        object.__setattr__(self, "time_kernel", closed_form_kernel("r_temporal"))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -99,7 +99,7 @@ def psi_section(basis, i):
     representers that broadcasts against x and t.  On the lines x = x_i and
     t = t_i the kernel guard limits dx and dt to 2.
     """
-    xi, ti = basis.xs[i], basis.ts[i]
+    xi, ti = np.transpose(basis.points)[:, i]
     op, rk, tk = basis.operator, basis.space_kernel, basis.time_kernel
 
     def f(x, t, dx: int = 0, dt: int = 0):

@@ -72,9 +72,7 @@ def ex51_solutions(ex51_hp):
 
 
 def basis_for_grid(n):
-    pts = solver.generate_collocation(n, n)
-    return RepresenterBasis(WaveOperator(), closed_form_kernel("R_spatial"),
-                            closed_form_kernel("r_temporal"), pts.xis, pts.taus)
+    return RepresenterBasis(WaveOperator(), *solver.generate_collocation(n, n))
 
 
 def test_criterion_01_kernel_oracle_equivalence():

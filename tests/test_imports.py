@@ -18,14 +18,14 @@ def test_import_does_not_load_scipy():
 
 
 PUBLIC_API = [
-    "CollocationSet", "ConfigError", "Curve", "DegenerateDomain", "ErrorReport", "ErrorRow",
-    "GramFactor", "HomogenizedProblem", "IncompatibleCorners", "NonFiniteValue",
-    "NotPositiveDefinite", "OutOfDomain", "PiecewiseKernel", "ProblemSpec", "Rectangle",
-    "RepresenterBasis", "SingularSystem", "Solution", "SpaceSpec", "WaveOperator", "builtin",
-    "closed_form_kernel", "derive_kernel_oracle", "error_table", "errors",
-    "eval_kernel_grid", "evaluate", "evaluate_dx", "factor", "generate_collocation",
-    "gram_matrix", "homogenize", "kernels", "orthonormalize", "problems", "solution_norm",
-    "solve", "solver", "space_spec", "wave_operator",
+    "ConfigError", "Curve", "DegenerateDomain", "ErrorReport", "ErrorRow", "GramFactor",
+    "HomogenizedProblem", "IncompatibleCorners", "NonFiniteValue", "NotPositiveDefinite",
+    "OutOfDomain", "PiecewiseKernel", "ProblemSpec", "Rectangle", "RepresenterBasis",
+    "SingularSystem", "Solution", "SpaceSpec", "WaveOperator", "builtin", "closed_form_kernel",
+    "derive_kernel_oracle", "error_table", "errors", "eval_kernel_grid", "evaluate",
+    "evaluate_dx", "factor", "generate_collocation", "gram_matrix", "homogenize", "kernels",
+    "orthonormalize", "problems", "solution_norm", "solve", "solver", "space_spec",
+    "wave_operator",
 ]
 
 

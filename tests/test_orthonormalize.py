@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rkwave.errors import NotPositiveDefinite
-from rkwave.kernels import closed_form_kernel
 from rkwave.orthonormalize import (
     PIVOT_RTOL,
     SOLVE_BLOCK,
@@ -25,9 +24,7 @@ def orthonormalizer(bf):
 
 
 def make_gram(nx, nt, operator=WaveOperator()):
-    grid = generate_collocation(nx, nt)
-    basis = RepresenterBasis(operator, closed_form_kernel("R_spatial"),
-                             closed_form_kernel("r_temporal"), grid.xis, grid.taus)
+    basis = RepresenterBasis(operator, *generate_collocation(nx, nt))
     return basis, gram_matrix(basis)
 
 
@@ -142,14 +139,17 @@ def backward_error(low, a):
 
 def test_factor_reads_only_the_upper_triangle():
     # as in LAPACK, one triangle is read and symmetry is the caller's
-    # precondition: finite garbage below the diagonal leaves L alone.  With
-    # one block (N <= SOLVE_BLOCK) L is numpy's own factor, bit for bit; the
-    # 8x8 Gram matrix (N = 64, two blocks) is held to the backward error
+    # precondition: finite garbage below the diagonal leaves L and the
+    # condition estimate, ||A||_1 included, alone.  With one block
+    # (N <= SOLVE_BLOCK) L is numpy's own factor, bit for bit; the 8x8 Gram
+    # matrix (N = 64, two blocks) is held to the backward error
     rng = np.random.default_rng(9)
     for a in (mirrored(spd_8x8()), make_gram(8, 8)[1]):
         garbage = np.triu(a) + np.tril(rng.uniform(-1e3, 1e3, a.shape), -1)
-        low = factor(a.copy()).L
-        assert np.array_equal(factor(garbage).L, low)
+        ref, bf = factor(a.copy()), factor(garbage)
+        assert np.array_equal(bf.L, ref.L)
+        assert bf.condition_estimate == ref.condition_estimate
+        low = ref.L
         if len(a) <= SOLVE_BLOCK:
             assert np.array_equal(low, np.linalg.cholesky(a))
         else:

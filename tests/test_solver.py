@@ -8,7 +8,7 @@ import pytest
 from rkwave import kernels, problems, solver, wave_operator
 from rkwave.errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
 from rkwave.orthonormalize import SOLVE_BLOCK
-from rkwave.solver import CollocationSet, generate_collocation
+from rkwave.solver import generate_collocation
 from rkwave.wave_operator import gram_matrix
 
 import oracles
@@ -16,33 +16,41 @@ from oracles import apply_L, psi_rows
 
 
 def test_generate_collocation_examples(ex51_hp):
-    cs = generate_collocation(2, 3)
-    assert (cs.xis, cs.taus) == ((1 / 3, 2 / 3), (0.25, 0.5, 0.75))
-    assert generate_collocation(1, 1) == CollocationSet((0.5,), (0.5,))
+    assert generate_collocation(2, 3) == ((1 / 3, 2 / 3), (0.25, 0.5, 0.75))
+    assert generate_collocation(1, 1) == ((0.5,), (0.5,))
     sol = solver.solve(ex51_hp, generate_collocation(2, 2))
     assert sol.basis.points == ((1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 2 / 3))
 
 
 def test_generate_collocation_avoids_dead_edges():
-    cs = generate_collocation(7, 5)
-    assert all(0.0 < xi < 1.0 for xi in cs.xis)
-    assert all(0.0 < tau < 1.0 for tau in cs.taus)
+    xis, taus = generate_collocation(7, 5)
+    assert all(0.0 < xi < 1.0 for xi in xis)
+    assert all(0.0 < tau < 1.0 for tau in taus)
 
 
-def test_collocation_set_validation():
-    for xis, taus in (
-        ((0.0, 0.5), (0.5,)),  # xi = 0 is dead
-        ((0.5, 1.0), (0.5,)),  # xi = 1 is dead
-        ((0.5,), (0.0, 0.5)),  # tau = 0 is dead
-        ((0.5,), (0.5, 1.5)),  # outside the square
-        ((0.5, 0.5), (0.5,)),  # duplicate
-        ((0.6, 0.4), (0.5,)),  # not increasing
-        ((), (0.5,)),  # empty
-        ((float("nan"),), (0.5,)),
+def test_solve_rejects_a_grid_on_a_dead_edge_before_assembly(ex51_hp, monkeypatch):
+    class Assembled(Exception):
+        pass
+
+    def gram_matrix(basis):
+        raise Assembled(basis)
+
+    monkeypatch.setattr(wave_operator, "gram_matrix", gram_matrix)
+    for grid, match in (
+        (((0.0, 0.5), (0.5,)), "dead edge"),  # xi = 0 is dead
+        (((0.5, 1.0), (0.5,)), "dead edge"),  # xi = 1 is dead
+        (((0.5,), (0.0, 0.5)), "dead edge"),  # tau = 0 is dead
+        (((0.5,), (0.5, 1.5)), "dead edge"),  # outside the square
+        (((float("nan"),), (0.5,)), "dead edge"),
+        (((0.5, 0.5), (0.5,)), "strictly increasing"),  # duplicate
+        (((0.6, 0.4), (0.5,)), "strictly increasing"),  # not increasing
+        (((), (0.5,)), "nonempty"),
     ):
-        with pytest.raises(ValueError):
-            CollocationSet(xis, taus)
-    assert CollocationSet((0.5,), (1,)).taus == (1.0,)  # tau = 1 is a live edge
+        with pytest.raises(ValueError, match=match):
+            solver.solve(ex51_hp, grid)
+    with pytest.raises(Assembled) as exc:  # tau = 1 is a live edge
+        solver.solve(ex51_hp, ((0.5,), (1,)))
+    assert exc.value.args[0].taus == (1.0,)
     with pytest.raises(ValueError):
         generate_collocation(0, 3)
 
@@ -121,7 +129,7 @@ def test_picard_fixed_point(ex52_hp):
     sol = solver.solve(ex52_hp, generate_collocation(5, 5), outer_sweeps=40, tol=1e-12)
     assert sol.sweeps_used < 40  # converged before the cap
     c = sol.psi_weights
-    vals = psi_rows(sol.basis, sol.basis.xs, sol.basis.ts) @ c
+    vals = psi_rows(sol.basis, *np.transpose(sol.basis.points)) @ c
     m = np.array([ex52_hp.M(x, t, v) for (x, t), v in zip(sol.basis.points, vals)])
     low = sol.beta.L
     assert np.max(np.abs(low @ (low.T @ c) - m)) < 1e-10
@@ -263,7 +271,7 @@ def test_non_finite_source_names_the_first_bad_point(ex52_hp):
     # M is evaluated at every point before the check; the failure still names
     # the first bad point in the j nx + i order, not the first in xi or in time
     pts = generate_collocation(4, 3)
-    xis, taus = pts.xis, pts.taus
+    xis, taus = pts
     bad = {(xis[0], taus[2]): math.nan, (xis[2], taus[1]): -math.inf,
            (xis[3], taus[1]): math.nan}
     calls = []
@@ -283,7 +291,7 @@ def test_non_finite_source_names_the_first_bad_point(ex52_hp):
 def test_degenerate_points_rejected(ex51_hp, ex52_hp):
     # two xi a rounding error apart give two numerically equal representers;
     # the failure names the second point, canonical and physical
-    pts = CollocationSet((0.5, 0.5 + 1e-15), (0.5,))
+    pts = ((0.5, 0.5 + 1e-15), (0.5,))
     with pytest.raises(NotPositiveDefinite) as exc:
         solver.solve(ex51_hp, pts)
     assert exc.value.index == 1
@@ -371,8 +379,7 @@ def test_evaluate_gives_the_bits_of_the_series_loop_plus_lifting(case, ex51_hp, 
     elif grid == "irregular":
         rng = np.random.default_rng(40)
         hp = ex52_hp
-        pts = CollocationSet(tuple(np.sort(rng.uniform(0.02, 0.98, 9))),
-                             tuple(np.sort(rng.uniform(0.02, 1.0, 6))))
+        pts = (np.sort(rng.uniform(0.02, 0.98, 9)), np.sort(rng.uniform(0.02, 1.0, 6)))
     else:
         hp = {"ex51": ex51_hp, "ex52": ex52_hp}[name]
         pts = generate_collocation(int(grid), int(grid))

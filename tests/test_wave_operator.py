@@ -21,7 +21,6 @@ from oracles import (
     apply_L,
     gram_entry,
     inner_product_2d,
-    kernel_of,
     psi_rows,
     psi_section,
     series_value,
@@ -40,8 +39,7 @@ def resident_bytes():
 
 
 def grid_basis(xis, taus, alpha=1.0, gamma=1.0):
-    return RepresenterBasis(WaveOperator(alpha, gamma), closed_form_kernel("R_spatial"),
-                            closed_form_kernel("r_temporal"), xis, taus)
+    return RepresenterBasis(WaveOperator(alpha, gamma), xis, taus)
 
 
 def make_basis(nx, nt, alpha=1.0, gamma=1.0):
@@ -63,22 +61,25 @@ def test_operator_validation():
             WaveOperator(alpha, gamma)
 
 
-def test_basis_requires_order3_kernels():
-    with pytest.raises(ValueError):
-        RepresenterBasis(WaveOperator(), kernel_of("Q_spatial"),
-                         closed_form_kernel("r_temporal"), (0.5,), (0.5,))
-
-
 def test_basis_points_run_tau_outer():
     basis = grid_basis((0.1, 0.2), (0.3, 0.4, 0.5))
     assert basis.points == ((0.1, 0.3), (0.2, 0.3), (0.1, 0.4), (0.2, 0.4),
                             (0.1, 0.5), (0.2, 0.5))
     assert len(basis) == 6
-    assert basis.xs.tolist() == [x for x, _ in basis.points]
-    assert basis.ts.tolist() == [t for _, t in basis.points]
+    assert all(type(v) is float for point in basis.points for v in point)
+    assert grid_basis(np.array([0.1, 0.2]), (0.3, 0.4, 0.5)).points == basis.points
     for xis, taus in (((0.2, 0.1), (0.5,)), ((0.5,), (0.3, 0.3)), ((), (0.5,))):
         with pytest.raises(ValueError):
             grid_basis(xis, taus)
+
+
+def test_basis_takes_the_order3_closed_form_kernels():
+    # Gram assembly takes two derivatives per slot, below the diagonal-smoothness
+    # limit 2m - 2 = 4 of these kernels; the basis takes no other
+    basis = grid_basis((0.5,), (0.5,))
+    assert basis.space_kernel is closed_form_kernel("R_spatial")
+    assert basis.time_kernel is closed_form_kernel("r_temporal")
+    assert basis.space_kernel.order == basis.time_kernel.order == 3
 
 
 def test_psi_vanishes_on_dead_edges():
@@ -244,7 +245,7 @@ def test_collocation_values_match_the_representer_matrix():
     rng = np.random.default_rng(22)
     for nx, nt in ((5, 4), (3, 7)):
         basis = random_grid(nx, nt, rng, alpha=0.35, gamma=2.7)
-        psi = psi_rows(basis, basis.xs, basis.ts)
+        psi = psi_rows(basis, *np.transpose(basis.points))
         c = rng.normal(size=len(basis)) * 10.0 ** rng.integers(-2, 4, len(basis))
         scale = np.abs(psi) @ np.abs(c)
         assert np.all(np.abs(collocation_values(basis, c) - psi @ c) <= TABLE_RTOL * scale)
@@ -282,7 +283,7 @@ def test_series_table_matches_kernel_rows_at_collocation_coordinates():
     rng = np.random.default_rng(12)
     basis = make_basis(5, 4, alpha=1.3, gamma=0.4)
     weights = rng.normal(size=len(basis))
-    xs, ts = np.unique(basis.xs), np.unique(basis.ts)
+    xs, ts = np.array(basis.xis), np.array(basis.taus)
     grid_x, grid_t = np.meshgrid(xs, ts)
     xi = np.concatenate([grid_x.ravel(), xs, rng.random(len(ts))])
     tau = np.concatenate([grid_t.ravel(), rng.random(len(xs)), ts])
@@ -296,8 +297,9 @@ def test_series_table_matches_kernel_rows_on_an_irregular_grid():
     table = series_table(basis, weights)
     assert (table.xis, table.taus) == (basis.xis, basis.taus)
     assert table.poly.shape == (6, 8, 6, 6)
-    xi = np.concatenate([rng.random(100), basis.xs, basis.xs])
-    tau = np.concatenate([rng.random(100), basis.ts, basis.ts[::-1]])
+    xs, ts = np.transpose(basis.points)
+    xi = np.concatenate([rng.random(100), xs, xs])
+    tau = np.concatenate([rng.random(100), ts, ts[::-1]])
     assert_table_matches_rows(basis, weights, xi, tau)
 
 
@@ -396,7 +398,7 @@ def test_series_table_is_exactly_zero_on_the_dead_edges():
         cases.append((sol.basis, sol.psi_weights))
     for basis, weights in cases:
         table = series_table(basis, weights)
-        line = np.concatenate([np.linspace(0.0, 1.0, 41), basis.xs, basis.ts])
+        line = np.concatenate([np.linspace(0.0, 1.0, 41), *np.transpose(basis.points)])
         for s in line:
             assert table.value(0.0, s) == 0.0
             assert table.value(1.0, s) == 0.0
