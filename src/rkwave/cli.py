@@ -35,7 +35,7 @@ from .solver import generate_collocation
 
 logger = logging.getLogger(__name__)
 
-CSV_HEADER = "x,t,exact,approx,abs_err,rel_err,seconds"
+CSV_HEADER = ",".join(ErrorRow._fields)
 SUMMARY_HEADER = "level,nx,nt,n_basis,max_abs_err,solution_norm,gram_condition,sweeps,seconds"
 
 

@@ -18,19 +18,12 @@ Branches are stored as dense (2m)x(2m) monomial coefficient matrices (entry
 either slot exact.
 ``eval_kernel_grid`` evaluates a kernel on a grid of coordinates.
 
-Every kernel is derived, not tabulated.  ``derive_kernel_oracle`` writes
-the lower branch as S + D/2 and the upper one as S - D/2, with S symmetric
-and D the coefficients of (-1)^(m-1) (x - y)^(2m-1) / (2m-1)!.  That ansatz
-holds symmetry, C^(2m-2) continuity across the diagonal and the jump
-(-1)^(m-1) of the (2m-1)-th derivative by construction, and every kernel of
-this kind has that form.  The boundary conditions read off from
-integration by parts (essential constraints at the interval ends and
-natural boundary conditions) then fix the m(2m+1) entries of S.  They are
-solved exactly in rational arithmetic, and each coefficient is rounded to a
-double once; ``closed_form_kernel`` caches that derivation per space id.
-The paper's printed coefficient tables serve only as a test reference; one
-of their entries is misprinted (R_spatial lower[4][5], printed 1/2938,
-exactly 1/2928).
+Every kernel is derived, not tabulated: ``_exact_coefficients`` solves its
+characterizing conditions exactly in rational arithmetic, each coefficient
+is rounded to a double once, and ``closed_form_kernel`` caches that per
+space id.  The paper's printed coefficient tables serve only as a test
+reference; one of their entries is misprinted (R_spatial lower[4][5],
+printed 1/2938, exactly 1/2928).
 """
 
 from __future__ import annotations
@@ -43,8 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularSystem
-
-SPACE_IDS = ("R_spatial", "r_temporal")
 
 
 @dataclass(frozen=True)
@@ -88,6 +79,7 @@ _SPECS = {
     "R_spatial": SpaceSpec(3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))),
     "r_temporal": SpaceSpec(3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0))),
 }
+SPACE_IDS = tuple(_SPECS)
 
 
 def space_spec(space_id: str) -> SpaceSpec:

@@ -21,15 +21,11 @@ with that block's inverse, the inverse the solves use.  So nearly all of
 its flops are matrix products, and numpy's Cholesky only ever sees a
 diagonal block.  On the Gram matrices of ex51 and ex52 from 8x8 to 48x48
 grids, the backward error ||L L^T - A||_F / ||A||_F measures at most
-3.3e-15.  As in LAPACK, only one triangle of A is read, and symmetry is
-the caller's precondition, not a check (``gram_matrix`` builds A bitwise
-symmetric).  Also as in LAPACK's dpotrf, L overwrites A, which each block
-reads once, so a solve holds one N x N array, not two.  The condition
-number of A is estimated from a few solves against L (Hager's 1-norm
-estimate of ||A^{-1}||_1 in Higham's form, as LAPACK's dlacn2), so it
-costs O(N^2) as well.  A pivot failure reports *which* leading minor
-broke: for collocation Gram matrices that index points at the first
-degenerate collocation point.
+3.3e-15.  The condition number of A is estimated from a few solves
+against L (Hager's 1-norm estimate of ||A^{-1}||_1 in Higham's form, as
+LAPACK's dlacn2), so it costs O(N^2) as well.  A pivot failure reports
+*which* leading minor broke: for collocation Gram matrices that index
+points at the first degenerate collocation point.
 """
 
 from __future__ import annotations
@@ -72,9 +68,7 @@ class GramFactor:
     block_inverses: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        low = np.asarray(self.L, dtype=float)  # no copy: from factor, L is the caller's A
-        low.setflags(write=False)
-        object.__setattr__(self, "L", low)
+        self.L.setflags(write=False)
 
 
 def _cholesky(m: np.ndarray, tiny: float) -> np.ndarray:
@@ -120,9 +114,7 @@ def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     def inv(v):
         return solve_lower_t(low, solve_lower(low, v, blocks), blocks)
 
-    if n == 1:
-        return float(abs(inv(np.ones(1))[0]))
-    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
     y, y_alt = inv(np.column_stack([np.full(n, 1.0 / n), alternating])).T
     est = float(np.sum(np.abs(y)))
     signs = np.where(y >= 0.0, 1.0, -1.0)

@@ -23,12 +23,9 @@ that operator; one whose operator floats cannot hold is a DegenerateDomain.
 
 Only -N(v + w) depends on v, so ``M`` memoizes s - w_tt + w_xx and w per
 (xi, tau) for the life of the problem: a repeat call costs a lookup and one
-N, gives the same bits, and the memo keeps 100-170 bytes per point (0.2 MB
-after solves at 8x8, 16x16 and 32x32).
+N and gives the same bits.
 
 ``error_table`` compares the solution with the exact one point by point.
-Each ``ErrorRow`` is a named tuple, immutable and cheap to build, whose
-fields in order are the columns of the CLI's CSV table.
 """
 
 from __future__ import annotations
@@ -141,8 +138,6 @@ class HomogenizedProblem:
     problem: ProblemSpec
     lifting: Callable[[float, float], float]
     lifting_x: Callable[[float, float], float]
-    lifting_tt: Callable[[float, float], float]
-    lifting_xx: Callable[[float, float], float]
     M: Callable[[float, float, float], float]
 
 
@@ -166,19 +161,15 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
         return (f_d1(x) + t * g_d1(x)
                 + ((h2_val(t) - fb - t * gb) - (h1_val(t) - fa - t * ga)) / width)
 
-    def w_tt(x: float, t: float) -> float:
-        return (b - x) / width * h1.d2(t) + (x - a) / width * h2.d2(t)
-
-    def w_xx(x: float, t: float) -> float:
-        return f.d2(x) + t * g.d2(x)
-
     nonlin = p.nonlinearity
     source = p.source
 
     @functools.lru_cache(maxsize=None)
     def fixed_part(xi: float, tau: float):
         x, t = p.domain.from_canonical(xi, tau)
-        total = -w_tt(x, t) + w_xx(x, t)
+        # -w_tt + w_xx
+        total = (-((b - x) / width * h1.d2(t) + (x - a) / width * h2.d2(t))
+                 + (f.d2(x) + t * g.d2(x)))
         if source is not None:
             total += source(x, t)
         return total, (w(x, t) if nonlin is not None else None)
@@ -187,7 +178,7 @@ def homogenize(p: ProblemSpec) -> HomogenizedProblem:
         total, w_here = fixed_part(xi, tau)
         return total if nonlin is None else total - nonlin(v + w_here)
 
-    return HomogenizedProblem(p, w, w_x, w_tt, w_xx, m_fun)
+    return HomogenizedProblem(p, w, w_x, m_fun)
 
 
 # --------------------------------------------------------------------------

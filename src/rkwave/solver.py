@@ -13,11 +13,9 @@ A = L L^T and beta = L^{-1} that is the collocation system
 whose right-hand side depends on the solution values Psi c at the points.
 Each sweep evaluates m at the previous sweep's values (zero at the start),
 solves the two triangular systems against L and updates the values,
-until they stop moving; m takes one M call per point, and M memoizes its
-v-independent part per point (``problems.homogenize``).  For M independent
-of v the first sweep is exact and the second merely confirms it.  (The
-paper's sequential recursion B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k))
-has the same fixed point.)
+until they stop moving.  For M independent of v the first sweep is exact
+and the second merely confirms it.  (The paper's sequential recursion
+B_i = sum_{k<=i} beta_ik M(p_k, v_{k-1}(p_k)) has the same fixed point.)
 
 The collocation grid is a coordinate pair (xis, taus), whose tensor points
 ``wave_operator.RepresenterBasis`` holds; ``solve`` keeps them off the dead
@@ -26,13 +24,6 @@ first point, the origin, only anchors v = 0).  A and Psi c come from the
 grid's 1-D kernel matrices, and ``factor`` writes L over A, so A, then L,
 is the only N x N array of a solve, in a memory mapping of its own
 (``gram_matrix``).
-
-Evaluation is a cell lookup: every solution carries the per-cell table of
-its series (``wave_operator.series_table``), so a point costs the same at
-any basis size, for v and dv/dxi alike.  Each solution builds, once, one
-closure for u = v_n + w and one for du/dx, which bind the rectangle's
-bounds and map, the table and the lifting; ``evaluate`` and
-``evaluate_dx`` are one call into them.
 """
 
 from __future__ import annotations
@@ -76,34 +67,32 @@ class Solution:
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))
         self.table = series_table(self.basis, self.psi_weights)
-        self.u, self.u_x = _point_functions(self.hp, self.table)
+        hp, domain = self.hp, self.hp.problem.domain
+        self.u = _point_function(domain, self.table, 0, 1.0, hp.lifting)
+        self.u_x = _point_function(domain, self.table, 1, domain.dxi_dx, hp.lifting_x)
 
 
-def _point_functions(hp, table: SeriesTable):
-    """u = v_n + w and du/dx at a physical point (x, t), as two closures.
+def _point_function(domain, table: SeriesTable, dx: int, scale: float, lift):
+    """value(xi, tau, dx) * scale + lift(x, t) at a physical point (x, t), as a closure.
 
-    Each binds, once, the rectangle's bounds and map, the table's ``value``
-    and the lifting, so a point costs the bounds check, xi = (x - a)/(b - a)
-    and tau = t/T as ``Rectangle.to_canonical`` forms them, one table
-    lookup with its Horner sum and one lifting call.  A point outside the
-    bounds goes to ``to_canonical``, which raises OutOfDomain.
+    u = v_n + w takes (0, 1.0, ``hp.lifting``), as multiplying by 1.0 is
+    exact, and du/dx takes (1, ``dxi_dx``, ``hp.lifting_x``).  The closure
+    binds, once, the bounds and map of the rectangle ``domain`` and the
+    table's ``value``, so a point costs the bounds check, xi = (x - a)/(b - a)
+    and tau = t/T as ``Rectangle.to_canonical`` forms them, one table lookup
+    with its Horner sum and one lifting call.  A point outside the bounds
+    goes to ``to_canonical``, which raises OutOfDomain.
     """
-    domain = hp.problem.domain
-    a, T, width, dxi_dx = domain.a, domain.T, domain.b - domain.a, domain.dxi_dx
+    a, T, width = domain.a, domain.T, domain.b - domain.a
     x_lo, x_hi, t_lo, t_hi = domain.bounds
-    to_canonical, value, lift, lift_x = domain.to_canonical, table.value, hp.lifting, hp.lifting_x
+    to_canonical, value = domain.to_canonical, table.value
 
-    def u(x: float, t: float) -> float:
+    def at(x: float, t: float) -> float:
         if not (x_lo <= x <= x_hi) or not (t_lo <= t <= t_hi):
             to_canonical(x, t)
-        return value((x - a) / width, t / T) + lift(x, t)
+        return value((x - a) / width, t / T, dx) * scale + lift(x, t)
 
-    def u_x(x: float, t: float) -> float:
-        if not (x_lo <= x <= x_hi) or not (t_lo <= t <= t_hi):
-            to_canonical(x, t)
-        return value((x - a) / width, t / T, 1) * dxi_dx + lift_x(x, t)
-
-    return u, u_x
+    return at
 
 
 def _point_label(hp, xi: float, tau: float) -> str:

@@ -17,21 +17,10 @@ Applying that identity to Psi_j itself gives the closed-form Gram entry
 a four-term combination of kernel derivatives of order at most 2 per slot,
 which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 
-The collocation points form a tensor grid, whose coordinates
-``RepresenterBasis`` validates and holds with the two order-3 kernels, and
-every term is a space factor times a time factor, so A and the series
-values at the points are built from 1-D kernel matrices on the grid
+The collocation points form a tensor grid and every term is a space factor
+times a time factor, so A, the series values at the points and the series
+table (``series_table``) are built from 1-D kernel matrices on the grid
 coordinates, never an N x N one.
-Each symmetric quantity among them is computed once, so A = A^T exactly.
-Because the kernels are piecewise polynomials, a series sum_k c_k Psi_k is
-one bivariate polynomial of degree 5 in each variable on each cell of the
-grid.  ``series_table`` tabulates it once, as the coefficient form of the
-``collocation_values`` product: one 6x6 coefficient matrix per cell for
-the series and its xi-derivative, so ``SeriesTable.value`` costs two
-bisections, one dict lookup of the cell's 36 coefficients as one flat
-tuple of Python floats (converted on the cell's first visit) and one
-unrolled Horner sum over them at any N.  The last column of cells is
-expanded about xi = 1, which keeps the series exactly zero there.
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -158,11 +147,9 @@ class SeriesTable:
     The coefficients are kept as one flat tuple of Python floats per cell,
     row by row (entry 6 p + q multiplies tau^p s^q), under the int key
     b (len(xis) + 1) + a.  A cell's tuple is converted from ``poly[b, a]``
-    on its first visit, so a later point in that cell does no numpy work;
-    ``poly`` is read-only, so the tuples cannot go stale.  A kept cell costs
-    its 36 floats as Python objects, about 1.2 KB with the tuple and its
-    dict entry by tracemalloc; converting every cell up front would cost
-    that for cells no point visits.
+    on its first visit, so a later point in that cell does no numpy work and
+    a cell no point visits costs nothing; ``poly`` is read-only, so the
+    tuples cannot go stale.
     """
 
     xis: tuple[float, ...]

@@ -16,7 +16,8 @@ replaced in their order of operations:
 
     series_value        the series by a loop over the cell's rows of
                         ``SeriesTable.poly``, converted afresh per call
-    lifting             the lifting w and w_x with rho and sigma as functions
+    lifting             the lifting w, w_x, w_tt and w_xx with rho and sigma as
+                        functions
     evaluate            u or du/dx as the rectangle map, series_value and lifting
 
 The image space W_hat of the paper uses order-1 factors that the solve never
@@ -235,7 +236,7 @@ def series_value(table, xi: float, tau: float, dx: int = 0) -> float:
 
 
 def lifting(p):
-    """(w, w_x) of the problem ``p``, with rho and sigma as functions."""
+    """(w, w_x, w_tt, w_xx) of the problem ``p``, with rho and sigma as functions."""
     a, b = p.domain.a, p.domain.b
     width = b - a
     f, g, h1, h2 = p.f, p.g, p.h1, p.h2
@@ -255,7 +256,13 @@ def lifting(p):
     def w_x(x, t):
         return f.d1(x) + t * g.d1(x) + (sigma(t) - rho(t)) / width
 
-    return w, w_x
+    def w_tt(x, t):
+        return (b - x) / width * h1.d2(t) + (x - a) / width * h2.d2(t)
+
+    def w_xx(x, t):
+        return f.d2(x) + t * g.d2(x)
+
+    return w, w_x, w_tt, w_xx
 
 
 def evaluate(sol, x: float, t: float, dx: int = 0) -> float:
@@ -263,7 +270,7 @@ def evaluate(sol, x: float, t: float, dx: int = 0) -> float:
     p = sol.hp.problem
     d = p.domain
     xi, tau = (x - d.a) / (d.b - d.a), t / d.T
-    w, w_x = lifting(p)
+    w, w_x, _, _ = lifting(p)
     if dx == 0:
         return series_value(sol.table, xi, tau) + w(x, t)
     return series_value(sol.table, xi, tau, 1) * d.dxi_dx + w_x(x, t)

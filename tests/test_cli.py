@@ -160,7 +160,8 @@ def test_compiled_expressions_keep_their_own_variables():
 
 
 def test_csv_columns_are_the_error_row_fields():
-    assert ",".join(problems.ErrorRow._fields) == cli.CSV_HEADER
+    # the header is built from the fields; the README documents this schema
+    assert cli.CSV_HEADER == "x,t,exact,approx,abs_err,rel_err,seconds"
     row = problems.ErrorRow(0.1, 1 / 3, -2.5e-300, math.pi, math.inf, math.nan, 0.0012345678)
     with pytest.raises(AttributeError):
         row.approx = 0.0

@@ -157,6 +157,7 @@ def test_memoized_M_gives_the_bits_of_a_first_call(example):
     points = [pt for n in (8, 16)
               for pt in solver.solve(hp, solver.generate_collocation(n, n)).basis.points]
     p = hp.problem
+    w, _, w_tt, w_xx = oracles.lifting(p)
     for v in (0.0, 0.3, -2.0):
         fresh = homogenize(builtin(example))
         want = [fresh.M(xi, tau, v).hex() for xi, tau in points]
@@ -165,11 +166,11 @@ def test_memoized_M_gives_the_bits_of_a_first_call(example):
         formula = []
         for xi, tau in points:
             x, t = p.domain.from_canonical(xi, tau)
-            total = -hp.lifting_tt(x, t) + hp.lifting_xx(x, t)
+            total = -w_tt(x, t) + w_xx(x, t)
             if p.source is not None:
                 total += p.source(x, t)
             if p.nonlinearity is not None:
-                total -= p.nonlinearity(v + hp.lifting(x, t))
+                total -= p.nonlinearity(v + w(x, t))
             formula.append(total.hex())
         assert formula == want
 
@@ -190,7 +191,7 @@ def test_lifting_matches_all_data(custom_problem):
         for t in rng.uniform(0, T, 50):
             assert abs(hp.lifting(a, t) - p.h1.val(t)) < 1e-10
             assert abs(hp.lifting(b, t) - p.h2.val(t)) < 1e-10
-        w, w_x = oracles.lifting(p)
+        w, w_x, _, _ = oracles.lifting(p)
         points = list(zip(rng.uniform(a, b, 200).tolist(), rng.uniform(0, T, 200).tolist()))
         points += [(a, 0.0), (b, 0.0), (a, T), (b, T)]
         assert [hp.lifting(x, t).hex() for x, t in points] == [w(x, t).hex() for x, t in points]
@@ -199,16 +200,26 @@ def test_lifting_matches_all_data(custom_problem):
 
 
 def test_lifting_derivative_consistency():
-    p = builtin("ex52")
+    # ex52's data without its nonlinearity: a source-free linear problem, whose
+    # M is -w_tt + w_xx, the second derivatives of the lifting that M forms
+    p = dataclasses.replace(builtin("ex52"), nonlinearity=None)
     hp = homogenize(p)
+    _, _, w_tt, w_xx = oracles.lifting(p)
     eps = 1e-5
     for (x, t) in [(-0.5, 0.3), (0.2, 0.8), (0.9, 0.1)]:
         fd_x = (hp.lifting(x + eps, t) - hp.lifting(x - eps, t)) / (2 * eps)
         assert abs(fd_x - hp.lifting_x(x, t)) < 1e-8
         fd_tt = (hp.lifting(x, t + eps) - 2 * hp.lifting(x, t) + hp.lifting(x, t - eps)) / eps**2
-        assert abs(fd_tt - hp.lifting_tt(x, t)) < 1e-5
+        assert abs(fd_tt - w_tt(x, t)) < 1e-5
         fd_xx = (hp.lifting(x + eps, t) - 2 * hp.lifting(x, t) + hp.lifting(x - eps, t)) / eps**2
-        assert abs(fd_xx - hp.lifting_xx(x, t)) < 1e-5
+        assert abs(fd_xx - w_xx(x, t)) < 1e-5
+        assert abs(-fd_tt + fd_xx - hp.M(*p.domain.to_canonical(x, t), 0.0)) < 1e-5
+
+
+def test_homogenized_problem_holds_the_lifting_its_derivative_and_M():
+    # the lifting's second derivatives live only inside M
+    names = [f.name for f in dataclasses.fields(problems.HomogenizedProblem)]
+    assert names == ["problem", "lifting", "lifting_x", "M"]
 
 
 def test_sine_gordon_forcing_with_compatible_boundary_strips():
