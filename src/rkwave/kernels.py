@@ -52,7 +52,7 @@ class SpaceSpec:
     discrete_terms: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseKernel:
     """Bivariate piecewise-polynomial kernel K(x, y).
 
@@ -123,8 +123,7 @@ def eval_kernel_grid(k: PiecewiseKernel, xs, ys, dx: int = 0, dy: int = 0) -> np
         raise ValueError("xs and ys must be 1-D coordinate arrays")
     c = np.concatenate([_deriv_matrix(m, dx, dy) for m in (k.lower, k.upper)], axis=1)
     xe = x[:, None]
-    cx = np.empty((len(x), c.shape[1]))
-    cx[...] = c[-1]
+    cx = np.repeat(c[-1:], len(x), axis=0)
     for row in c[-2::-1]:
         cx *= xe
         cx += row
@@ -138,16 +137,15 @@ def eval_kernel_grid(k: PiecewiseKernel, xs, ys, dx: int = 0, dy: int = 0) -> np
 # --------------------------------------------------------------------------
 
 def _polish_columns_at_one(mat: np.ndarray) -> None:
-    # Drive the Horner-order column sums (the branch value at x = 1) to the
-    # rounding floor.  The exact coefficient columns sum to zero; stored
-    # doubles leave ~1e-17 residues that downstream series with large
-    # coefficients would amplify past boundary-trace tolerances.
-    for j in range(mat.shape[1]):
-        for _ in range(3):
-            s = 0.0
-            for i in range(mat.shape[0] - 1, -1, -1):
-                s += mat[i, j]
-            mat[-1, j] -= s
+    # Drive the Horner-order column sums (the branch value at x = 1, exactly
+    # zero, ~1e-17 once rounded) to the rounding floor, since downstream series
+    # with large coefficients would amplify them past boundary-trace
+    # tolerances.  A pass adds whole rows, top power first, as Horner does.
+    for _ in range(3):
+        s = np.zeros(mat.shape[1])
+        for row in mat[::-1]:
+            s += row
+        mat[-1] -= s
 
 
 def _eliminate(row: dict, rhs: Fraction, pivot: tuple, pivot_row: list) -> Fraction:

@@ -51,7 +51,7 @@ SOLVE_BLOCK = 32
 ESTIMATE_ITERATIONS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFactor:
     """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag.
 
@@ -157,11 +157,11 @@ def factor(gram) -> GramFactor:
     n = len(a)
     # ||A||_1 from the upper triangle and no N x N |A|: column j sums |A| over
     # the diagonal, its strict upper part and, by symmetry, that of row j
-    sums, lower = np.abs(np.diagonal(a)), np.tri(SOLVE_BLOCK, dtype=bool)
+    sums = np.abs(np.diagonal(a))
     for k in range(0, n, SOLVE_BLOCK):
         rows = np.abs(a[k:k + SOLVE_BLOCK, k:])  # rows k:e from column k on
         b = len(rows)
-        rows[:, :b][lower[:b, :b]] = 0.0  # leaving their strict upper part
+        rows[:, :b] = np.triu(rows[:, :b], 1)  # leaving their strict upper part
         sums[k:] += rows.sum(axis=0)
         sums[k:k + b] += rows.sum(axis=1)
     norm = float(np.max(sums))
@@ -185,8 +185,7 @@ def factor(gram) -> GramFactor:
         low[k:e, e:] = 0.0
         low[e:, k:e] = col[e - k:] @ inv.T
         inverses.append(inv)
-    inverses = tuple(inverses)
-    return GramFactor(low, norm * _inverse_norm1(low, inverses), inverses)
+    return GramFactor(low, norm * _inverse_norm1(low, inverses), tuple(inverses))
 
 
 def solve_lower(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -101,7 +101,8 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full initial/boundary value problem with optional exact solution."""
+    """A full initial/boundary value problem with optional exact solution; building one raises
+    IncompatibleCorners unless its data meet the four corner conditions to CORNER_TOL."""
 
     domain: Rectangle
     f: Curve
@@ -114,21 +115,17 @@ class ProblemSpec:
     exact_dx: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
-        _check_corners(self)
-
-
-def _check_corners(p: ProblemSpec) -> None:
-    a, b = p.domain.a, p.domain.b
-    checks = (
-        ("h1(0) = f(a)", p.h1.val(0.0), p.f.val(a)),
-        ("h2(0) = f(b)", p.h2.val(0.0), p.f.val(b)),
-        ("h1'(0) = g(a)", p.h1.d1(0.0), p.g.val(a)),
-        ("h2'(0) = g(b)", p.h2.d1(0.0), p.g.val(b)),
-    )
-    for label, lhs, rhs in checks:
-        # written so that NaN data fails the check
-        if not abs(lhs - rhs) <= CORNER_TOL * max(1.0, abs(lhs), abs(rhs)):
-            raise IncompatibleCorners(f"corner compatibility {label} fails: {lhs} vs {rhs}")
+        a, b = self.domain.a, self.domain.b
+        checks = (
+            ("h1(0) = f(a)", self.h1.val(0.0), self.f.val(a)),
+            ("h2(0) = f(b)", self.h2.val(0.0), self.f.val(b)),
+            ("h1'(0) = g(a)", self.h1.d1(0.0), self.g.val(a)),
+            ("h2'(0) = g(b)", self.h2.d1(0.0), self.g.val(b)),
+        )
+        for label, lhs, rhs in checks:
+            # written so that NaN data fails the check
+            if not abs(lhs - rhs) <= CORNER_TOL * max(1.0, abs(lhs), abs(rhs)):
+                raise IncompatibleCorners(f"corner compatibility {label} fails: {lhs} vs {rhs}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def generate_collocation(nx: int, nt: int) -> tuple[tuple[float, ...], tuple[flo
             tuple((j + 1) / (nt + 1) for j in range(nt)))
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     """A solved collocation expansion plus everything needed to evaluate it."""
 
@@ -61,8 +61,8 @@ class Solution:
     last_update: float  # max |change of the collocation values| in the last sweep
     norm_history: np.ndarray = field(init=False)
     table: SeriesTable = field(init=False, repr=False)  # the series per grid cell
-    u: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
-    u_x: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    u: Callable[[float, float], float] = field(init=False, repr=False)
+    u_x: Callable[[float, float], float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.norm_history = np.sqrt(np.cumsum(self.B ** 2))

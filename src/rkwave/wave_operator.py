@@ -112,7 +112,7 @@ def _shift_to_one(coef: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesTable:
     """The series v = sum_k c_k Psi_k in piecewise-polynomial form on the coordinate grid.
 
@@ -133,16 +133,15 @@ class SeriesTable:
     tau = 0 it is exactly 0 because the first column and row of cells use
     only lower branches, whose constant rows are exactly zero.
 
-    ``value`` finds the point's cell by two bisections and one dict lookup
-    and sums the cell's 36 coefficients by Horner's rule, unrolled, with no
-    numpy arithmetic per point: v in s within each row and then in tau
-    across the rows, dv/dxi in tau down each column q >= 1 and then in s
-    with the factors q.  Each sum in tau starts from 0.0 * tau, as a loop
-    from 0.0 over the rows does, so the bits are those of that loop form
+    ``value`` finds the point's cell by two bisections and one dict lookup,
+    unpacks its 36 coefficients once and sums them by Horner's rule, unrolled,
+    with no numpy arithmetic: v in s within each row and then in tau across
+    the rows, dv/dxi in tau down each column q >= 1 and then in s with the
+    factors q.  Each sum in tau starts from 0.0 * tau, as a loop from 0.0
+    over the rows does, so the bits are those of that loop form
     (``tests/oracles.py``'s ``series_value``), signed zeros included.  At s = 0
     each row of v reduces to its s^0 entry and at tau = 0 the sum to row 0,
-    so the exact zeros above survive.  A point costs the same at any basis
-    size.
+    so the exact zeros above survive.  A point costs the same at any basis size.
 
     The coefficients are kept as one flat tuple of Python floats per cell,
     row by row (entry 6 p + q multiplies tau^p s^q), under the int key
@@ -155,7 +154,7 @@ class SeriesTable:
     xis: tuple[float, ...]
     taus: tuple[float, ...]
     poly: np.ndarray = field(repr=False)
-    _cells: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _cells: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.poly.setflags(write=False)  # the tuples in _cells are copies of it
@@ -173,10 +172,10 @@ class SeriesTable:
         if coefs is None:
             coefs = self._cells[key] = tuple(self.poly[b, a].ravel().tolist())
         s = xi - 1.0 if a == nx else xi
+        (c00, c01, c02, c03, c04, c05, c10, c11, c12, c13, c14, c15,
+         c20, c21, c22, c23, c24, c25, c30, c31, c32, c33, c34, c35,
+         c40, c41, c42, c43, c44, c45, c50, c51, c52, c53, c54, c55) = coefs
         if dx == 0:
-            (c00, c01, c02, c03, c04, c05, c10, c11, c12, c13, c14, c15,
-             c20, c21, c22, c23, c24, c25, c30, c31, c32, c33, c34, c35,
-             c40, c41, c42, c43, c44, c45, c50, c51, c52, c53, c54, c55) = coefs
             return ((((((0.0 * tau
                          + (c50 + s * (c51 + s * (c52 + s * (c53 + s * (c54 + s * c55)))))) * tau
                         + (c40 + s * (c41 + s * (c42 + s * (c43 + s * (c44 + s * c45)))))) * tau
@@ -184,9 +183,6 @@ class SeriesTable:
                       + (c20 + s * (c21 + s * (c22 + s * (c23 + s * (c24 + s * c25)))))) * tau
                      + (c10 + s * (c11 + s * (c12 + s * (c13 + s * (c14 + s * c15)))))) * tau
                     + (c00 + s * (c01 + s * (c02 + s * (c03 + s * (c04 + s * c05))))))
-        (_, c01, c02, c03, c04, c05, _, c11, c12, c13, c14, c15,
-         _, c21, c22, c23, c24, c25, _, c31, c32, c33, c34, c35,
-         _, c41, c42, c43, c44, c45, _, c51, c52, c53, c54, c55) = coefs
         zero = 0.0 * tau
         d1 = (((((zero + c51) * tau + c41) * tau + c31) * tau + c21) * tau + c11) * tau + c01
         d2 = (((((zero + c52) * tau + c42) * tau + c32) * tau + c22) * tau + c12) * tau + c02

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rkwave import cli, problems
-from rkwave.errors import ConfigError
+from rkwave.errors import ConfigError, NotPositiveDefinite
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -437,6 +437,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     for source in ("1/(x - 1/3)", "(x - 0.5)**0.5"):
         assert cli.main([str(write(tmp_path, body + f"source = {source}\n"))]) == 3
         assert "solver.solve" in capsys.readouterr().err
+
+
+def test_factor_failure_exits_3(tmp_path, capsys, monkeypatch):
+    exc = NotPositiveDefinite(3, "leading minor of order 4 is not positive definite at "
+                                 "collocation point (xi, tau) = (0.5, 0.5)")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.solver, "solve", fail)
+    assert cli.main([str(write(tmp_path, "problem = ex51\nnx = 2\nnt = 2\n"))]) == 3
+    assert f"numerical failure in orthonormalize.factor: {exc}\n" in capsys.readouterr().err
 
 
 def test_seconds_column_without_exact_solution(tmp_path):

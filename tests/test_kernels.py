@@ -326,3 +326,34 @@ def test_oracle_rejects_degenerate_space():
     for m in (1, 2, 3):
         with pytest.raises(SingularSystem):
             derive_kernel_oracle(SpaceSpec(m, (), ()))
+
+
+def test_polish_gives_the_bits_of_the_per_entry_loop():
+    # the reference: per column, three passes that each sum the column from
+    # the top power down and take the sum off its last entry
+    def reference(mat):
+        for j in range(mat.shape[1]):
+            for _ in range(3):
+                s = 0.0
+                for i in range(mat.shape[0] - 1, -1, -1):
+                    s += mat[i, j]
+                mat[-1, j] -= s
+
+    rounded = np.array(kernels._exact_coefficients(space_spec("R_spatial")), dtype=float).T
+    noisy = np.random.default_rng(1).standard_normal((6, 6)) * 10.0 ** np.arange(-3, 3)
+    for mat in (rounded, noisy):
+        want, got = mat.copy(), mat.copy()
+        reference(want)
+        kernels._polish_columns_at_one(got)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sid", kernels.SPACE_IDS)
+def test_kernels_compare_and_hash_by_identity(sid):
+    # two kernels with equal branches compare as objects, without asking an
+    # array for its truth value
+    cached, derived = closed_form_kernel(sid), derive_kernel_oracle(space_spec(sid))
+    assert np.array_equal(cached.lower, derived.lower)
+    assert cached != derived and not cached == derived
+    assert cached == cached and derived == derived
+    assert hash(cached) == hash(cached) and len({cached, derived, cached}) == 2

@@ -400,3 +400,14 @@ def test_evaluate_gives_the_bits_of_the_series_loop_plus_lifting(case, ex51_hp, 
             with pytest.raises(OutOfDomain) as got:
                 ev(sol, x, t)
             assert str(got.value) == str(want.value)
+
+
+def test_solutions_factors_and_tables_compare_and_hash_by_identity(ex51_hp):
+    # two solves of one grid hold equal arrays in distinct objects
+    first, second = (solver.solve(ex51_hp, generate_collocation(4, 4)) for _ in range(2))
+    assert np.array_equal(first.beta.L, second.beta.L)
+    for a, b in ((first, second), (first.beta, second.beta), (first.table, second.table)):
+        assert a != b and not a == b
+        assert a == a and b == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+    assert first.basis == second.basis  # the basis holds no arrays and compares by value
