@@ -8,7 +8,7 @@ Usage:
 config is flat ``key = value`` text with ``#`` comments; ``--print-config``
 echoes the configuration that would run, defaults and the ``--out`` and
 ``--format`` overrides included, without solving.  Exit codes: 0 success,
-2 config error, 3 numerical failure.
+2 config error, 3 numerical failure or a Gram matrix too large to map.
 
 One table is written per refinement level (each level doubles nx and nt)
 plus a summary with per-level max absolute error, solution norm, Gram
@@ -261,11 +261,7 @@ def _build_problem(cfg: RunConfig) -> ProblemSpec:
     c = cfg.custom
 
     def curve(prefix: str, variable: str) -> Curve:
-        return Curve(
-            compile_expression(c[prefix], (variable,)),
-            compile_expression(c[prefix + "_d1"], (variable,)),
-            compile_expression(c[prefix + "_d2"], (variable,)),
-        )
+        return Curve(*(compile_expression(c[prefix + d], (variable,)) for d in ("", "_d1", "_d2")))
 
     nonlin = math.sin if c.get("nonlinearity", "none") == "sin" else None
     optional = {k: compile_expression(c[k], ("x", "t"))
@@ -407,6 +403,9 @@ def main(argv=None) -> int:
         return 3
     except NonFiniteValue as exc:
         print(f"numerical failure in solver.solve: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

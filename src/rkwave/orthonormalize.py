@@ -4,14 +4,15 @@ Orthonormalizing the representers Psi_i only needs the coefficients
 beta_ik of the combinations Psihat_i = sum_{k<=i} beta_ik Psi_k.  With the
 Gram matrix A = L L^T (Cholesky), beta = L^{-1} produces the same
 orthonormal system as sequential Gram-Schmidt, up to rounding, and
-satisfies beta A beta^T = I.  beta is never formed: every use of it is a
-triangular solve against L, done here by blocked substitution in O(N^2)
-per right-hand side: the coupling to the blocks already solved is one BLAS
-product with L's off-diagonal block, and each diagonal block is one
-product with its inverse, formed once per factor.  On the Gram factors of
-ex51 and ex52 from 8x8 to 56x56 grids, the normwise backward error
-||L x - b|| / (||L|| ||x||) of these solves measures at most 2e-18
-(forward) and 2e-16 (back), below double precision's eps = 2.2e-16.
+satisfies beta A beta^T = I.  beta is never formed: ``GramFactor.solve``
+applies it twice, B = beta m and c = beta^T B, as triangular solves against
+L by blocked substitution in O(N^2) per right-hand side: the coupling to
+the blocks already solved is one BLAS product with L's off-diagonal block,
+and each diagonal block is one product with its inverse, formed once per
+factor.  On the Gram factors of ex51 and ex52 from 8x8 to 56x56 grids, the
+normwise backward error ||L x - b|| / (||L|| ||x||) of these solves
+measures at most 2e-18 (forward) and 2e-16 (back), below double
+precision's eps = 2.2e-16.
 
 L is the only O(N^3) step.  It is a left-looking blocked Cholesky factor
 (Golub and Van Loan, Matrix Computations, 4.2): each block of SOLVE_BLOCK
@@ -30,7 +31,7 @@ points at the first degenerate collocation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -53,22 +54,41 @@ ESTIMATE_ITERATIONS = 5
 
 @dataclass(frozen=True, eq=False)
 class GramFactor:
-    """Lower-triangular Cholesky factor L of a Gram matrix with a conditioning tag.
+    """Lower-triangular Cholesky factor L of a Gram matrix A, which applies beta = L^{-1}.
 
-    ``block_inverses`` are the inverses of L's SOLVE_BLOCK x SOLVE_BLOCK
+    Built from L, ||A||_1 and the inverses of L's SOLVE_BLOCK x SOLVE_BLOCK
     diagonal blocks (the last one smaller), formed while factoring; they
-    stand in for those blocks in the triangular solves, one product each.
+    stand in for those blocks in ``solve``, one product each.
     ``condition_estimate`` is ||A||_1 times an estimate of ||A^{-1}||_1: a
     lower bound on cond_1(A) that is usually exact.
     """
 
     L: np.ndarray
-    condition_estimate: float
-    # inverses of L's diagonal blocks, for solve_lower and solve_lower_t
-    block_inverses: tuple[np.ndarray, ...] = field(repr=False)
+    norm1: InitVar[float]
+    _inverses: tuple[np.ndarray, ...] = field(repr=False)
+    condition_estimate: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, norm1: float):
         self.L.setflags(write=False)
+        object.__setattr__(self, "condition_estimate", norm1 * _inverse_norm1(self))
+
+    def solve(self, m) -> tuple[np.ndarray, np.ndarray]:
+        """(B, c) with L B = m and L^T c = B: B = beta m and c = beta^T B = A^{-1} m.
+
+        ``m`` is a vector or a matrix of right-hand-side columns and is not
+        overwritten; each costs O(N^2) (see the module docstring).
+        """
+        low = self.L
+        blocks = tuple(zip(range(0, len(low), SOLVE_BLOCK), self._inverses))
+        b = np.array(m, dtype=float)
+        for k, inv in blocks:
+            e = k + len(inv)
+            b[k:e] = inv @ (b[k:e] - low[k:e, :k] @ b[:k])
+        c = b.copy()
+        for k, inv in reversed(blocks):
+            e = k + len(inv)
+            c[k:e] = inv.T @ (c[k:e] - low[e:, k:e].T @ c[e:])
+        return b, c
 
 
 def _cholesky(m: np.ndarray, tiny: float) -> np.ndarray:
@@ -97,7 +117,7 @@ def _cholesky(m: np.ndarray, tiny: float) -> np.ndarray:
     return low
 
 
-def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
+def _inverse_norm1(bf: GramFactor) -> float:
     """A lower bound on ||A^{-1}||_1 for A = L L^T, usually equal to it (dlacn2).
 
     Each candidate is ||A^{-1} x||_1 / ||x||_1 for some x, so none exceeds
@@ -109,25 +129,21 @@ def _inverse_norm1(low: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     against an ascent that stalled in a local maximum; it is solved with
     the start vector, as one two-column pass over L.
     """
-    n = low.shape[0]
-
-    def inv(v):
-        return solve_lower_t(low, solve_lower(low, v, blocks), blocks)
-
+    n = len(bf.L)
     alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
-    y, y_alt = inv(np.column_stack([np.full(n, 1.0 / n), alternating])).T
+    y, y_alt = bf.solve(np.column_stack([np.full(n, 1.0 / n), alternating]))[1].T
     est = float(np.sum(np.abs(y)))
     signs = np.where(y >= 0.0, 1.0, -1.0)
-    z = inv(signs)
+    z = bf.solve(signs)[1]
     j = int(np.argmax(np.abs(z)))
     for _ in range(ESTIMATE_ITERATIONS - 1):
-        y = inv(np.eye(1, n, j)[0])
+        y = bf.solve(np.eye(1, n, j)[0])[1]
         est, previous = float(np.sum(np.abs(y))), est
         new_signs = np.where(y >= 0.0, 1.0, -1.0)
         if np.array_equal(new_signs, signs) or est <= previous:
             break
         signs = new_signs
-        z = inv(signs)
+        z = bf.solve(signs)[1]
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
@@ -138,9 +154,8 @@ def factor(gram) -> GramFactor:
     """Cholesky factor of a symmetric positive definite Gram matrix.
 
     Computes A = L L^T by left-looking blocked Cholesky over SOLVE_BLOCK
-    columns at a time and returns L together with the inverses of its
-    diagonal blocks and an O(N^2) estimate of cond_1(A) from solves against
-    L (see GramFactor).  A must be symmetric: as in LAPACK, one triangle is
+    columns at a time and returns L as a GramFactor, which estimates
+    cond_1(A) in O(N^2) from solves against L.  A must be symmetric: as in LAPACK, one triangle is
     factored, here the upper one (the lower triangle of A^T), and the strict
     lower triangle is neither read nor checked, ||A||_1 in the estimate
     included.  Also as in LAPACK, L overwrites the argument, read-only from
@@ -185,29 +200,4 @@ def factor(gram) -> GramFactor:
         low[k:e, e:] = 0.0
         low[e:, k:e] = col[e - k:] @ inv.T
         inverses.append(inv)
-    return GramFactor(low, norm * _inverse_norm1(low, inverses), tuple(inverses))
-
-
-def solve_lower(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:
-    """x with L x = rhs for lower-triangular L, by blocked forward substitution.
-
-    ``rhs`` is a vector or a matrix of right-hand-side columns and
-    ``inverses`` are ``GramFactor.block_inverses`` of L.  Each block of x is one product
-    with its inverse after the coupling product, with a normwise backward
-    error at rounding level (see the module docstring).  Costs O(N^2) per
-    column, where np.linalg.solve would run an O(N^3) LU of L.
-    """
-    x = np.array(rhs, dtype=float)
-    for k, inv in zip(range(0, low.shape[0], SOLVE_BLOCK), inverses):
-        e = k + len(inv)
-        x[k:e] = inv @ (x[k:e] - low[k:e, :k] @ x[:k])
-    return x
-
-
-def solve_lower_t(low: np.ndarray, rhs, inverses: tuple[np.ndarray, ...]) -> np.ndarray:
-    """x with L^T x = rhs for lower-triangular L, by blocked back substitution."""
-    x = np.array(rhs, dtype=float)
-    for k, inv in reversed(tuple(zip(range(0, low.shape[0], SOLVE_BLOCK), inverses))):
-        e = k + len(inv)
-        x[k:e] = inv.T @ (x[k:e] - low[e:, k:e].T @ x[e:])
-    return x
+    return GramFactor(low, norm, tuple(inverses))

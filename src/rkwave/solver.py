@@ -35,7 +35,7 @@ import numpy as np
 
 from . import wave_operator
 from .errors import NonFiniteValue, NotPositiveDefinite
-from .orthonormalize import GramFactor, factor, solve_lower, solve_lower_t
+from .orthonormalize import GramFactor, factor
 from .wave_operator import RepresenterBasis, SeriesTable, series_table
 
 
@@ -120,12 +120,15 @@ def solve(hp, grid, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
     ``outer_sweeps`` of them.  Reaching the cap does not raise: the number
     of sweeps run is ``sweeps_used``, ``converged`` says whether the last
     one moved the values by at most ``tol``, and ``last_update`` by how much.
+    ``outer_sweeps`` below 1 or ``tol`` not positive and finite raises ValueError.
     A Gram pivot failure raises NotPositiveDefinite naming its collocation point.
     A grid off (0, 1) x (0, 1] touches a dead edge and raises ValueError before
     assembly, as do coordinates that are not strictly increasing (``RepresenterBasis``).
     """
     if outer_sweeps < 1:
         raise ValueError("outer_sweeps must be >= 1")
+    if not 0.0 < tol < float("inf"):  # written so that NaN fails it
+        raise ValueError(f"tol must be positive and finite, not {tol}")
     basis = RepresenterBasis(hp.problem.domain.operator, *grid)
     xis, taus = basis.xis, basis.taus
     if not (0.0 < xis[0] and xis[-1] < 1.0 and 0.0 < taus[0] and taus[-1] <= 1.0):
@@ -138,8 +141,7 @@ def solve(hp, grid, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
 
     vals = np.zeros(len(basis))
     for sweeps_used in range(1, outer_sweeps + 1):
-        b = solve_lower(bf.L, _source_values(hp, basis.points, vals), bf.block_inverses)
-        c = solve_lower_t(bf.L, b, bf.block_inverses)
+        b, c = bf.solve(_source_values(hp, basis.points, vals))
         vals, prev = wave_operator.collocation_values(basis, c), vals
         update = float(np.max(np.abs(vals - prev)))
         if update <= tol:

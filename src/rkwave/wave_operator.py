@@ -28,6 +28,7 @@ inner products, finite differences) are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import contextlib
+import errno
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -217,21 +218,28 @@ def series_table(basis: RepresenterBasis, weights) -> SeriesTable:
     return SeriesTable(basis.xis, basis.taus, poly.reshape(nt + 1, 6, nx + 1, 6).swapaxes(1, 2))
 
 
-def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float array in a private anonymous memory mapping of its own.
+def _mapped_empty(n: int) -> np.ndarray:
+    """An uninitialized n x n float array in a private anonymous memory mapping of its own.
 
     Freeing the array unmaps its pages.  From glibc's heap, a freed block of a
     few MB stays resident and the next one may not fit back once smaller blocks
     split the hole, so peak RSS would depend on where earlier blocks landed.
     Huge pages, which numpy asks for on arrays of 4 MiB and up, make the first
-    write fault once per 2 MiB instead of once per 4 KiB page.
+    write fault once per 2 MiB instead of once per 4 KiB page.  A mapping the
+    system refuses for want of memory raises MemoryError naming n and the bytes.
     """
     import mmap  # here, as in numpy.memmap, so that importing rkwave does not load it
 
-    buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map the Gram matrix of N = {n} basis functions "
+                          f"({8 * n * n} bytes): {exc.strerror}") from None
     with contextlib.suppress(AttributeError, OSError):  # a platform without huge pages
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf).reshape(shape)
+    return np.frombuffer(buf).reshape(n, n)
 
 
 def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
@@ -247,7 +255,7 @@ def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
     r, t = basis.kernel_matrices
     a, g = basis.operator.alpha, basis.operator.gamma
     nt, nx = len(basis.taus), len(basis.xis)
-    out, term = _mapped_empty((nt, nx, nt, nx)), np.empty((nx, nt, nx))
+    out, term = _mapped_empty(nt * nx).reshape(nt, nx, nt, nx), np.empty((nx, nt, nx))
     t02, t20, t22, t00 = (m[:, None, :, None] for m in (t[0, 2], t[2, 0], t[2, 2], t[0, 0]))
     r20, r02, r00, r22 = (m[:, None, :] for m in (r[2, 0], r[0, 2], a * a * r[0, 0],
                                                   g * g * r[2, 2]))

@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -449,6 +451,21 @@ def test_factor_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.solver, "solve", fail)
     assert cli.main([str(write(tmp_path, "problem = ex51\nnx = 2\nnt = 2\n"))]) == 3
     assert f"numerical failure in orthonormalize.factor: {exc}\n" in capsys.readouterr().err
+
+
+def test_gram_matrix_too_large_to_map_exits_3(tmp_path, capsys, monkeypatch):
+    # mmap refuses A, as it refuses the 205 GB A of a 400x400 grid on a
+    # machine without that much memory; the run stops with one line naming
+    # N, not a traceback
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    assert cli.main([str(write(tmp_path, "problem = ex51\nnx = 4\nnt = 4\n"))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "N = 16 " in err[0] and "2048 bytes" in err[0], err
 
 
 def test_seconds_column_without_exact_solution(tmp_path):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from rkwave.errors import NotPositiveDefinite
-from rkwave.orthonormalize import (
-    PIVOT_RTOL,
-    SOLVE_BLOCK,
-    GramFactor,
-    factor,
-    solve_lower,
-    solve_lower_t,
-)
+from rkwave.orthonormalize import PIVOT_RTOL, SOLVE_BLOCK, GramFactor, factor
 from rkwave.solver import generate_collocation
 from rkwave.wave_operator import RepresenterBasis, WaveOperator, gram_matrix
 
@@ -35,9 +28,13 @@ def test_identity_gram():
 
 
 def test_gram_factor_takes_its_factor_without_a_copy():
-    # a 32x32 solve hands over an 8 MB L; it is frozen in place, not copied
+    # a 32x32 solve hands over an 8 MB L; it is frozen in place, not copied.
+    # The factor is built from L, ||A||_1 = 9 and its one diagonal block's
+    # inverse, and estimates cond_1(A) = 9 / 4 itself
     low = np.linalg.cholesky(np.diag([4.0, 9.0]))
-    assert GramFactor(low, 1.0, ()).L is low and not low.flags.writeable
+    bf = GramFactor(low, 9.0, (np.linalg.inv(low),))
+    assert bf.L is low and not low.flags.writeable
+    assert bf.condition_estimate == pytest.approx(2.25, rel=1e-15)
 
 
 def test_hand_checked_2x2():
@@ -330,20 +327,53 @@ def test_permutation_covariance():
     assert np.max(np.abs(cross @ cross.T - np.eye(n))) < 1e-8
 
 
-@pytest.mark.parametrize("n", [1, 2 * SOLVE_BLOCK - 1, 2 * SOLVE_BLOCK, 4 * SOLVE_BLOCK + 5])
+BLOCK_SIZES = [1, 2 * SOLVE_BLOCK - 1, 2 * SOLVE_BLOCK, 4 * SOLVE_BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_blocked_triangular_solves_match_linalg_solve(n):
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n))
     bf = factor(m @ m.T + n * np.eye(n))
-    low, inverses = bf.L, bf.block_inverses
-    assert len(inverses) == -(-n // SOLVE_BLOCK)
+    low = bf.L
+    assert len(bf._inverses) == -(-n // SOLVE_BLOCK)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         before = rhs.copy()
-        assert np.allclose(solve_lower(low, rhs, inverses), np.linalg.solve(low, rhs), rtol=0,
-                           atol=1e-12)
-        assert np.allclose(solve_lower_t(low, rhs, inverses), np.linalg.solve(low.T, rhs), rtol=0,
-                           atol=1e-12)
+        b, c = bf.solve(rhs)
+        assert np.allclose(b, np.linalg.solve(low, rhs), rtol=0, atol=1e-12)
+        assert np.allclose(c, np.linalg.solve(low.T, b), rtol=0, atol=1e-12)
         assert np.array_equal(rhs, before)  # the right-hand side is not overwritten
+
+
+def reference_solves(low, rhs):
+    """B = L^{-1} rhs and c = L^{-T} B by the two blocked loops, one per solve, with the
+    diagonal blocks' inverses formed as factor forms them, one LAPACK solve each."""
+    starts = range(0, len(low), SOLVE_BLOCK)
+    inverses = []
+    for k in starts:
+        d = low[k:k + SOLVE_BLOCK, k:k + SOLVE_BLOCK]
+        inverses.append(np.linalg.solve(d, np.eye(len(d))))
+    b = np.array(rhs, dtype=float)
+    for k, inv in zip(starts, inverses):
+        e = k + len(inv)
+        b[k:e] = inv @ (b[k:e] - low[k:e, :k] @ b[:k])
+    c = np.array(b, dtype=float)
+    for k, inv in reversed(tuple(zip(starts, inverses))):
+        e = k + len(inv)
+        c[k:e] = inv.T @ (c[k:e] - low[e:, k:e].T @ c[e:])
+    return b, c
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_solve_gives_the_bits_of_the_two_blocked_loops(n):
+    # GramFactor.solve is the forward and then the back substitution, in
+    # one call and in that order, so B and c keep every bit of the loops
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    bf = factor(m @ m.T + n * np.eye(n))
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        for got, want in zip(bf.solve(rhs), reference_solves(bf.L, rhs)):
+            assert got.shape == rhs.shape and got.tobytes() == want.tobytes()
 
 
 def relative_residual(low, x, b):
@@ -352,20 +382,19 @@ def relative_residual(low, x, b):
 
 def test_triangular_solves_are_backward_stable_on_a_gram_factor():
     # cond(A) ~ 1e14 at 24x24, so only the residual, not the error, is at
-    # rounding level; it is for both solves and both right-hand-side shapes,
-    # with one product per diagonal block.  The operators are ex51's and
-    # ex52's (alpha = 1, gamma = 0.25 on [-1, 1] x [0, 1]).
+    # rounding level; it is for both solves, L B = b and L^T c = B, and both
+    # right-hand-side shapes, with one product per diagonal block.  The
+    # operators are ex51's and ex52's (alpha = 1, gamma = 0.25 on [-1, 1] x [0, 1]).
     rng = np.random.default_rng(5)
     for operator in (WaveOperator(), WaveOperator(1.0, 0.25)):
         for n in (24, 32):
             _, a = make_gram(n, n, operator)
             bf = factor(a)
             low = bf.L
-            for b in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
-                x = solve_lower(low, b, bf.block_inverses)
-                assert relative_residual(low, x, b) <= 1e-14, (operator, n)
-                x = solve_lower_t(low, b, bf.block_inverses)
-                assert relative_residual(low.T, x, b) <= 1e-14, (operator, n)
+            for m in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 4))):
+                b, c = bf.solve(m)
+                assert relative_residual(low, b, m) <= 1e-14, (operator, n)
+                assert relative_residual(low.T, c, b) <= 1e-14, (operator, n)
 
 
 def condition_matrices():

@@ -303,6 +303,14 @@ def test_degenerate_points_rejected(ex51_hp, ex52_hp):
     assert exc.value.index == 1 and f"(x, t) = ({x}, {t})" in str(exc.value)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])
+def test_solve_rejects_a_tol_that_is_not_positive_and_finite(ex51_hp, tol):
+    # NaN and -1 would run every sweep and report no convergence, and inf
+    # would report convergence after one sweep, whatever the update
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solver.solve(ex51_hp, generate_collocation(4, 4), tol=tol)
+
+
 def test_converged_flag(ex51_hp, ex52_hp):
     capped = solver.solve(ex52_hp, generate_collocation(5, 5), outer_sweeps=2, tol=1e-10)
     assert capped.sweeps_used == 2
