@@ -37,6 +37,10 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = ",".join(ErrorRow._fields)
 SUMMARY_HEADER = "level,nx,nt,n_basis,max_abs_err,solution_norm,gram_condition,sweeps,seconds"
+# the failures that exit 3, with the stderr prefix of each
+_EXIT_3 = {NotPositiveDefinite: "numerical failure in orthonormalize.factor",
+           NonFiniteValue: "numerical failure in solver.solve",
+           MemoryError: "out of memory"}
 
 
 def _g17(v: float) -> str:
@@ -398,14 +402,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NotPositiveDefinite as exc:
-        print(f"numerical failure in orthonormalize.factor: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteValue as exc:
-        print(f"numerical failure in solver.solve: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
+    except tuple(_EXIT_3) as exc:
+        prefix = next(p for kind, p in _EXIT_3.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 3
 
 

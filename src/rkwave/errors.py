@@ -2,10 +2,10 @@
 
 
 class SingularSystem(Exception):
-    """The kernel characterizing system has no unique solution.
+    """The kernel's 2m x 2m boundary-condition system is singular.
 
-    Usually means the space description is wrong (missing or contradictory
-    constraints), since every supported space has a unique kernel.
+    ``SpaceSpec`` already rejects terms outside the boundary values, so this
+    means a degenerate form, such as one with no discrete terms.
     """
 
 

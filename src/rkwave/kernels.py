@@ -45,11 +45,20 @@ class SpaceSpec:
     essential_constraints lists (derivative order, endpoint) pairs that
     members must annihilate; discrete_terms lists the boundary terms of the
     inner product, whose integral term is of derivative order ``order``.
+    Each pair (d, e) needs 0 <= d < order and e in (0, 1).
     """
 
     order: int
     essential_constraints: tuple[tuple[int, int], ...]
     discrete_terms: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"order must be >= 1, got {self.order}")
+        for d, e in self.essential_constraints + self.discrete_terms:
+            if d not in range(self.order) or e not in (0, 1):
+                raise ValueError(f"boundary term u^({d})({e}) needs 0 <= d < order = "
+                                 f"{self.order} and e in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,127 +157,60 @@ def _polish_columns_at_one(mat: np.ndarray) -> None:
         mat[-1] -= s
 
 
-def _eliminate(row: dict, rhs: Fraction, pivot: tuple, pivot_row: list) -> Fraction:
-    """Subtract row[pivot] times ``pivot_row`` ([row, rhs]) from ``row`` in place.
-
-    Returns the right-hand side reduced the same way.
-    """
-    f = row[pivot]
-    prow, prhs = pivot_row
-    for k, v in prow.items():
-        value = row.get(k, 0) - f * v
-        if value:
-            row[k] = value
-        else:
-            row.pop(k, None)
-    return rhs - f * prhs
-
-
 def _exact_coefficients(spec: SpaceSpec) -> list[list[Fraction]]:
     """Exact coefficients C[i][j] of the kernel's lower branch x <= y.
 
-    K is sum_{ij} C[i,j] x^i y^j on x <= y with 0 <= i, j <= 2m-1, and its
-    mirror image sum_{ij} C[j,i] x^i y^j on x > y (the kernel is symmetric).
-    Lower minus upper branch is then a polynomial of degree at most 2m-1 in
-    each variable.  The kernel is C^(2m-2) across x = y, so that difference
-    vanishes to order 2m-1 on the diagonal and is a multiple of
-    (x - y)^(2m-1); the degree bound leaves only a constant factor, and the
-    jump (-1)^(m-1) of the (2m-1)-th x-derivative fixes it (that jump is what
-    reproduces point evaluation: integrating by parts m times leaves
-    (-1)^(m-1) times it against u(y)).  So
-    C - C^T = D, the coefficients of (-1)^(m-1) (x - y)^(2m-1) / (2m-1)!,
+    Fix y.  K(., y) is the Green's function of a two-point problem: a
+    polynomial P(x) = sum_i a_i(y) x^i of degree 2m-1 on x <= y, and P minus
+    the jump J = (-1)^(m-1) (x - y)^(2m-1) / (2m-1)! on x > y.  So K is
+    C^(2m-2) across x = y, and integrating <u, K(., y)> by parts m times
+    leaves the jump (-1)^(m-1) of J's (2m-1)-th derivative against u(y).
+    Each boundary value u^(d)(e), d < m, gives one condition at x = e, on the
+    lower branch at e = 0 and the upper one at e = 1:
 
-        D[i][j] = (-1)^(m-1+j) binom(2m-1, i) / (2m-1)!   where i + j = 2m-1,
-
-    and C = S + D/2, C^T = S - D/2 with S symmetric.  The ansatz holds
-    symmetry, continuity and the jump by construction; the m(2m+1) entries
-    S[i][j], i <= j, are the unknowns.  Each remaining condition must hold
-    for every parameter y, i.e. per power of y, with the known D/2 terms on
-    the right-hand side:
-
-    (a) essential constraints of the space at the argument-slot endpoints,
-    (b) natural boundary conditions: in
+    (a) K^(d)(e, y) = 0 where u^(d)(e) is an essential constraint;
+    (b) else the total coefficient of u^(d)(e) in <u, K(., y)> vanishes.  In
 
             int_0^1 u^(m) K^(m) dx
               = sum_{r=0}^{m-1} (-1)^r [u^(m-1-r) K^(m+r)]_0^1 + jump terms
 
-        the total coefficient of every unconstrained boundary value
-        u^(d)(e) in <u, K(., y)> must vanish.
+        that is (-1)^(m+d+e) K^(2m-1-d)(e, y), plus K^(d)(e, y) where
+        u^(d)(e) is a discrete term.
 
-    That is 2m rows per boundary value u^(d)(e), d < m: 36 rows in 21
-    unknowns at order 3.  The coefficients of the unknowns are integers and
-    the right-hand sides rational, so Gauss-Jordan elimination over sparse
-    rows of Fractions solves the system exactly.  Raises SingularSystem when
-    the system is rank deficient or inconsistent, which signals a wrong
-    SpaceSpec.
+    The 2m conditions on the a_i form one rational 2m x 2m matrix M, the
+    same for every y.  With a_i(y) = sum_j C[i][j] y^j, M C = R, where
+    column j of R holds the y^j coefficients that J contributes at x = 1.
+    Gauss-Jordan elimination over Fractions solves it exactly, and raises
+    SingularSystem when no condition fixes some power x^k.
     """
     m = spec.order
-    if m < 1:
-        raise ValueError("order must be >= 1")
     n = 2 * m  # coefficients per branch and per variable
-    # D/2 by its nonzero entries (i, j = 2m-1-i); (-1)^(m+i) = (-1)^(m-1+j)
-    half_jump = {(i, n - 1 - i): Fraction((-1) ** (m + i) * math.comb(n - 1, i),
-                                          2 * math.factorial(n - 1)) for i in range(n)}
-    rows = []  # (coefficients by unknown S[i][j] keyed (i, j), i <= j; right-hand side)
-
-    def endpoint(row: dict, j: int, order: int, e: int, sign: int) -> Fraction:
-        # adds sign * K^(order)(e) restricted to the y^j column; on branch e
-        # the x^i y^j coefficient is S[i][j] + (-1)^e D[i][j]/2, and the
-        # returned right-hand side carries the known D/2 part
-        rhs = 0
-        for i in range(order, n):
-            coef = sign * math.perm(i, order) * e ** (i - order)
-            k = (min(i, j), max(i, j))
-            row[k] = row.get(k, 0) + coef
-            rhs -= coef * (-1) ** e * half_jump.get((i, j), 0)
-        return rhs
-
-    # (a) essential constraints; the endpoint x = e lies on branch e
-    for d, e in spec.essential_constraints:
-        for j in range(n):
-            row = {}
-            rows.append((row, endpoint(row, j, d, e, 1)))
-
-    # (b) natural boundary conditions for every unconstrained u^(d)(e); the
-    # term u^(d)(e) K^(2m-1-d)(e) of the integration by parts has the sign
-    # (-1)^(m-1-d) at e = 1 and the opposite one at e = 0
+    # J = sum_i jump[i] x^i y^(2m-1-i); (-1)^(m-1) (-1)^(2m-1-i) = (-1)^(m+i)
+    jump = [Fraction((-1) ** (m + i) * math.comb(n - 1, i), math.factorial(n - 1))
+            for i in range(n)]
+    rows = []  # [M row | R row] per boundary value u^(d)(e)
     for d in range(m):
         for e in (0, 1):
             if (d, e) in spec.essential_constraints:
-                continue
-            for j in range(n):
-                row = {}
-                rhs = endpoint(row, j, 2 * m - 1 - d, e, (-1) ** (m + d + e))
+                terms = [(d, 1)]
+            else:  # (order of K's x-derivative, its sign)
+                terms = [(n - 1 - d, (-1) ** (m + d + e))]
                 if (d, e) in spec.discrete_terms:
-                    rhs += endpoint(row, j, d, e, 1)
-                rows.append((row, rhs))
-
-    # Gauss-Jordan: pivot rows stay fully reduced, so reducing a new row by
-    # them leaves it free of every pivot unknown.  Taking the sparsest rows
-    # first and pivoting on the highest power keeps the fill-in small.
-    pivots = {}
-    for coefs, rhs in sorted(rows, key=lambda r: len(r[0])):
-        row = {k: Fraction(v) for k, v in coefs.items() if v}
-        rhs = Fraction(rhs)
-        for k in [k for k in row if k in pivots]:
-            rhs = _eliminate(row, rhs, k, pivots[k])
-        if not row:
-            if rhs:
-                raise SingularSystem("characterizing system is inconsistent; "
-                                     "check the space description")
-            continue
-        k = max(row)
-        scale = row[k]
-        new = [{kk: v / scale for kk, v in row.items()}, rhs / scale]
-        for prow in pivots.values():
-            if k in prow[0]:
-                prow[1] = _eliminate(prow[0], prow[1], k, new)
-        pivots[k] = new
-    if len(pivots) < m * (n + 1):
-        raise SingularSystem(f"characterizing system has rank {len(pivots)} < {m * (n + 1)}, "
-                             "its number of unknowns m(2m+1); check the space description")
-    return [[pivots[min(i, j), max(i, j)][1] + half_jump.get((i, j), 0) for j in range(n)]
-            for i in range(n)]
+                    terms.append((d, 1))
+            row = [sum(s * math.perm(i, k) * e ** (i - k) for k, s in terms if i >= k)
+                   for i in range(n)]
+            # the upper branch's -J moves to the right: its x^i term carries y^(2m-1-i)
+            rows.append(row + [e * row[n - 1 - j] * jump[n - 1 - j] for j in range(n)])
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            raise SingularSystem(f"no boundary condition fixes the power x^{k}; "
+                                 "check the space description")
+        top = rows.pop(p)
+        pivot = [Fraction(v) / top[k] for v in top]
+        rows = [[a - r[k] * b for a, b in zip(r, pivot)] if r[k] else r for r in rows]
+        rows.insert(k, pivot)
+    return [r[n:] for r in rows]
 
 
 def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:

@@ -60,7 +60,8 @@ class GramFactor:
     diagonal blocks (the last one smaller), formed while factoring; they
     stand in for those blocks in ``solve``, one product each.
     ``condition_estimate`` is ||A||_1 times an estimate of ||A^{-1}||_1: a
-    lower bound on cond_1(A) that is usually exact.
+    lower bound on cond_1(A) up to rounding, usually exact (rounding in the
+    solves can push it past cond_1 by a few 1e-8 relative).
     """
 
     L: np.ndarray
@@ -120,9 +121,10 @@ def _cholesky(m: np.ndarray, tiny: float) -> np.ndarray:
 def _inverse_norm1(bf: GramFactor) -> float:
     """A lower bound on ||A^{-1}||_1 for A = L L^T, usually equal to it (dlacn2).
 
-    Each candidate is ||A^{-1} x||_1 / ||x||_1 for some x, so none exceeds
-    ||A^{-1}||_1.  Hager's ascent starts from x = (1/n, ..., 1/n) and
-    moves to the unit vector e_j at the largest entry of the gradient
+    Each candidate is ||A^{-1} x||_1 / ||x||_1 for some x, so in exact
+    arithmetic none exceeds ||A^{-1}||_1; rounding in the solves may push
+    one past it.  Hager's ascent starts from x = (1/n, ..., 1/n) and moves
+    to the unit vector e_j at the largest entry of the gradient
     A^{-1} sign(A^{-1} x) (A^{-1} is symmetric), until the sign vector
     repeats, the estimate stops growing, the same entry leads again or
     ESTIMATE_ITERATIONS is reached.  Higham's alternating vector guards

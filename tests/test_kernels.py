@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,71 @@ def test_oracle_rejects_degenerate_space():
     for m in (1, 2, 3):
         with pytest.raises(SingularSystem):
             derive_kernel_oracle(SpaceSpec(m, (), ()))
+
+
+@pytest.mark.parametrize("args, named", [
+    ((3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (3, 0))), "u^(3)(0)"),
+    ((3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (1, 2))), "u^(1)(2)"),
+    ((3, ((0, 0), (0, 0.5)), ((0, 0), (1, 0), (1, 1))), "u^(0)(0.5)"),
+    ((3, ((-1, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))), "u^(-1)(0)"),
+    ((0, (), ()), "order must be >= 1"),
+], ids=["d=order", "e=2", "e=0.5", "d=-1", "order 0"])
+def test_space_spec_rejects_terms_it_cannot_mean(args, named):
+    # a term past the boundary values u^(d)(e), d < m, e in {0, 1} would be
+    # dropped by the derivation, or fail inside it
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SpaceSpec(*args)
+
+
+def _pmul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _pder(p, d):
+    return [math.perm(i, d) * c for i, c in enumerate(p)][d:] or [Fraction(0)]
+
+
+def _pval(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
+def _pint(p, a, b):
+    return sum(c * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(p))
+
+
+@pytest.mark.parametrize("spec", [
+    space_spec("R_spatial"),
+    space_spec("r_temporal"),
+    spec_of("Q_spatial"),
+    SpaceSpec(2, ((0, 0),), ((0, 0), (1, 0))),
+    SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0))),
+    SpaceSpec(4, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0), (3, 0))),
+    SpaceSpec(5, ((0, 0), (1, 0)), tuple((d, 0) for d in range(5))),
+    SpaceSpec(5, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0), (3, 1))),
+], ids=["R_spatial", "r_temporal", "Q_spatial", "order2", "order4_space", "order4_time",
+        "order5_time", "order5_space"])
+def test_kernel_reproduces_point_values_exactly(spec):
+    # <u, K(., y)> = u(y) in exact rationals for a member u = x^a (1-x)^b q,
+    # its zeros at 0 and 1 one order past the space's essential constraints;
+    # the upper branch is the transposed lower one, so symmetry is checked too
+    m = spec.order
+    c = kernels._exact_coefficients(spec)
+    u = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
+    for e, root in ((0, [0, 1]), (1, [1, -1])):
+        for _ in range(1 + max((d for d, ee in spec.essential_constraints if ee == e), default=-1)):
+            u = _pmul(u, root)
+    for y in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
+        lower = [_pval(row, y) for row in c]
+        upper = [_pval(col, y) for col in zip(*c)]
+        got = sum(_pval(_pder(u, d), e) * _pval(_pder(upper if e else lower, d), e)
+                  for d, e in spec.discrete_terms)
+        got += _pint(_pmul(_pder(u, m), _pder(lower, m)), 0, y)
+        got += _pint(_pmul(_pder(u, m), _pder(upper, m)), y, 1)
+        assert got == _pval(u, y), (y, got - _pval(u, y))
 
 
 def test_polish_gives_the_bits_of_the_per_entry_loop():
