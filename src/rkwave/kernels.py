@@ -60,6 +60,19 @@ class SpaceSpec:
                 raise ValueError(f"boundary term u^({d})({e}) needs 0 <= d < order = "
                                  f"{self.order} and e in (0, 1)")
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether the space is invariant under x -> 1 - x, so that K(1-x, 1-y) = K(x, y).
+
+        The reflection multiplies u^(d) by (-1)^d, which each product
+        u^(d) g^(d) cancels, and keeps the integral term.  So it suffices that
+        the essential constraints, and the discrete terms outside them (a
+        term at a pinned value is zero), map onto themselves under e -> 1 - e.
+        """
+        pinned = set(self.essential_constraints)
+        free = set(self.discrete_terms) - pinned
+        return all({(d, 1 - e) for d, e in terms} == terms for terms in (pinned, free))
+
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseKernel:

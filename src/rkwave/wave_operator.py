@@ -20,7 +20,8 @@ which stays below the C^4 diagonal-smoothness limit of the order-3 kernels.
 The collocation points form a tensor grid and every term is a space factor
 times a time factor, so A, the series values at the points and the series
 table (``series_table``) are built from 1-D kernel matrices on the grid
-coordinates, never an N x N one.
+coordinates, never an N x N one; on a grid mirror-symmetric about xi = 1/2,
+A splits into the Gram matrices of two halves (``RepresenterBasis.mirror_halves``).
 Pointwise references for Psi_i, A_ij and L (kernel sections, quadrature
 inner products, finite differences) are test oracles in ``tests/oracles.py``.
 """
@@ -35,7 +36,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid
+from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid, space_spec
+
+# The fewest basis functions N = nt nx that ``RepresenterBasis.mirror_halves``
+# folds: the smallest N at which the folded solve measured faster on both
+# ex51 and ex52 (square grids, 100 alternating solves, 2-core VM).  At 16x16
+# ex51 tied (median time ratio 0.999), at 17x17 ex52 tied (0.995); at 18x18
+# the fold won on both (0.944, 0.948), and 0.59-0.64 at 32x32.
+FOLD_MIN_N = 324
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,16 @@ class WaveOperator:
         a, g = self.alpha, self.gamma  # gram_matrix forms a^2, a g and g^2; NaN fails
         if not all(0.0 < v < np.inf for v in (a, g, a * a, a * g, g * g)):
             raise ValueError(f"coefficients {a}, {g} and products must be positive and finite")
+
+
+_SPACE_ID = "R_spatial"
+_PQ = ((0, 0), (0, 2), (2, 2))  # the derivative orders of the kernel matrices formed
+
+
+def _kernel_set(m00: np.ndarray, m02: np.ndarray, m22: np.ndarray) -> dict:
+    """{(p, q): matrix}, [0, 0] and [2, 2] mirrored from their lower triangles, [2, 0] = [0, 2]^T."""
+    m00, m22 = (np.tril(m) + np.tril(m, -1).T for m in (m00, m22))
+    return {(0, 0): m00, (0, 2): m02, (2, 0): m02.T, (2, 2): m22}
 
 
 @dataclass(frozen=True)
@@ -76,7 +94,7 @@ class RepresenterBasis:
                 raise ValueError(f"{name} must be nonempty and strictly increasing, got {coords}")
             object.__setattr__(self, name, coords)
         object.__setattr__(self, "points", tuple((x, t) for t in self.taus for x in self.xis))
-        object.__setattr__(self, "space_kernel", closed_form_kernel("R_spatial"))
+        object.__setattr__(self, "space_kernel", closed_form_kernel(_SPACE_ID))
         object.__setattr__(self, "time_kernel", closed_form_kernel("r_temporal"))
 
     def __len__(self) -> int:
@@ -89,12 +107,40 @@ class RepresenterBasis:
         The kernels are symmetric: [0, 0] and [2, 2] are mirrored from their lower
         triangle and [2, 0] is [0, 2] transposed, so ``gram_matrix`` is bitwise symmetric.
         """
-        out = []
-        for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)):
-            m00, m02, m22 = (eval_kernel_grid(k, c, c, p, q) for p, q in ((0, 0), (0, 2), (2, 2)))
-            m00, m22 = (np.tril(m) + np.tril(m, -1).T for m in (m00, m22))
-            out.append({(0, 0): m00, (0, 2): m02, (2, 0): m02.T, (2, 2): m22})
-        return tuple(out)
+        return tuple(_kernel_set(*(eval_kernel_grid(k, c, c, p, q) for p, q in _PQ))
+                     for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)))
+
+    @cached_property
+    def mirror_halves(self) -> tuple[tuple[np.ndarray, dict], ...] | None:
+        """(fold, space) of the even, then the odd half of the basis, or None where not folded.
+
+        In each time row j the half's k-th representer is
+        sum_l fold[l, k] Psi_(j nx + l), and ``space`` holds fold^T R[p, q] fold,
+        bitwise symmetric as R is.
+
+        A fold needs xis[k] + xis[k'] == 1.0 exactly, k' = nx-1-k, and a
+        mirror-symmetric space (``SpaceSpec.mirror_symmetric``), so that
+        R[p, q][k', l'] = R[p, q][k, l].  The even half weighs each pair k < k'
+        by (1/2, 1/2) and the middle point of an odd nx by 1, the odd half each
+        pair by (1/2, -1/2).  Even and odd representers are orthogonal in W, so
+        A splits into the halves' Gram matrices, of orders nt ceil(nx/2) and
+        nt floor(nx/2), which ``gram_matrix`` assembles from their ``space``.
+        None also for nx = 1 and below FOLD_MIN_N basis functions.
+        """
+        xis, nx = self.xis, len(self.xis)
+        if (len(self) < FOLD_MIN_N or nx < 2 or not space_spec(_SPACE_ID).mirror_symmetric
+                or any(lo + hi != 1.0 for lo, hi in zip(xis, reversed(xis)))):
+            return None
+        r, pairs = self.kernel_matrices[0], np.arange(nx // 2)
+        halves = []
+        for sign, width in ((0.5, nx - len(pairs)), (-0.5, len(pairs))):
+            fold = np.zeros((nx, width))
+            fold[pairs, pairs] = 0.5
+            fold[nx - 1 - pairs, pairs] = sign
+            if width > len(pairs):  # the middle point of odd nx, on its own
+                fold[width - 1, width - 1] = 1.0
+            halves.append((fold, _kernel_set(*(fold.T @ r[pq] @ fold for pq in _PQ))))
+        return tuple(halves)
 
 
 def _shift_to_one(coef: np.ndarray) -> np.ndarray:
@@ -242,7 +288,7 @@ def _mapped_empty(n: int) -> np.ndarray:
     return np.frombuffer(buf).reshape(n, n)
 
 
-def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
+def gram_matrix(basis: RepresenterBasis, space: dict | None = None) -> np.ndarray:
     """The Gram matrix A_ij = (L Psi_j)(x_i, t_i), each term a Kronecker product on the grid,
 
         A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
@@ -251,10 +297,14 @@ def gram_matrix(basis: RepresenterBasis) -> np.ndarray:
     slab of scratch by the elementwise operations of the four np.kron products
     in that order, so assembly holds one N x N array and rounds as the formula does.
     A has a memory mapping of its own (``_mapped_empty``), unmapped when A is freed.
+    With the ``space`` of one of ``basis.mirror_halves`` in place of R, the
+    result is the Gram matrix of that half's representers.
     """
     r, t = basis.kernel_matrices
+    if space is not None:
+        r = space
     a, g = basis.operator.alpha, basis.operator.gamma
-    nt, nx = len(basis.taus), len(basis.xis)
+    nt, nx = len(basis.taus), len(r[0, 0])
     out, term = _mapped_empty(nt * nx).reshape(nt, nx, nt, nx), np.empty((nx, nt, nx))
     t02, t20, t22, t00 = (m[:, None, :, None] for m in (t[0, 2], t[2, 0], t[2, 2], t[0, 0]))
     r20, r02, r00, r22 = (m[:, None, :] for m in (r[2, 0], r[0, 2], a * a * r[0, 0],

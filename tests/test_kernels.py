@@ -317,6 +317,29 @@ def test_grid_evaluates_an_order4_kernel(dx, dy):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("spec, mirrored", [
+    (space_spec("R_spatial"), True),
+    (space_spec("r_temporal"), False),
+    # the order-4 space of the accuracy study: u''(0) is a discrete term, u''(1) is not
+    (SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0))), False),
+    (SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))), True),
+    # a discrete term at a pinned value is zero, so it breaks no symmetry
+    (SpaceSpec(2, ((0, 0), (0, 1)), ((0, 0),)), True),
+    (SpaceSpec(2, ((0, 0), (0, 1)), ((0, 0), (1, 0))), False),
+    (SpaceSpec(1, (), ((0, 0), (0, 1))), True),
+    (spec_of("Q_spatial"), False),
+], ids=["R_spatial", "r_temporal", "order4_space", "order4_both_ends", "order2_pinned_term",
+        "order2_one_end", "order1_both_ends", "Q_spatial"])
+def test_mirror_symmetric_spec_iff_the_kernel_is(spec, mirrored):
+    # K(1 - x, 1 - y) = K(x, y) in exact rationals exactly when the spec says so
+    c = kernels._exact_coefficients(spec)
+    pts = [Fraction(k, 7) for k in range(8)]
+    flipped = all(exact_derivative(c, x, y, 0, 0) == exact_derivative(c, 1 - x, 1 - y, 0, 0)
+                  for x in pts for y in pts)
+    assert spec.mirror_symmetric is mirrored
+    assert flipped is mirrored
+
+
 @pytest.mark.parametrize("sid", ORDER3_IDS)
 def test_order3_coefficients_are_exactly_the_corrected_tables(sid):
     assert kernels._exact_coefficients(spec_of(sid)) == corrected_tables(sid)["lower"]

@@ -7,7 +7,7 @@ import pytest
 
 from rkwave import kernels, problems, solver, wave_operator
 from rkwave.errors import NonFiniteValue, NotPositiveDefinite, OutOfDomain
-from rkwave.orthonormalize import SOLVE_BLOCK
+from rkwave.orthonormalize import SOLVE_BLOCK, GramFactor, factor
 from rkwave.solver import generate_collocation
 from rkwave.wave_operator import gram_matrix
 
@@ -301,6 +301,128 @@ def test_degenerate_points_rejected(ex51_hp, ex52_hp):
         solver.solve(ex52_hp, pts)
     x, t = ex52_hp.problem.domain.from_canonical(0.5 + 1e-15, 0.5)
     assert exc.value.index == 1 and f"(x, t) = ({x}, {t})" in str(exc.value)
+
+
+def mirror_grid(nx: int, min_n: int):
+    """generate_collocation's nx xis, exactly mirror-symmetric, and the fewest taus for N >= min_n."""
+    return generate_collocation(nx, -(-min_n // nx))
+
+
+@pytest.fixture
+def factor_orders(monkeypatch):
+    """The orders of the matrices that solver.solve factors, in call order."""
+    orders = []
+
+    def recorded(gram):
+        orders.append(len(gram))
+        return factor(gram)
+
+    monkeypatch.setattr(solver, "factor", recorded)
+    return orders
+
+
+def test_only_a_mirror_symmetric_grid_from_the_crossover_up_factors_two_halves(ex51_hp,
+                                                                              factor_orders):
+    fold_min_n = wave_operator.FOLD_MIN_N
+    xis, taus = mirror_grid(17, fold_min_n)
+    nt = len(taus)
+    assert 17 * (nt - 1) < fold_min_n <= 17 * nt
+    skewed = xis[:-1] + (np.nextafter(xis[-1], 0.0),)  # one ulp off the mirror image of xis[0]
+    even_xis, even_taus = mirror_grid(18, fold_min_n)
+    for grid, want in (((xis, taus[:-1]), [17 * (nt - 1)]),  # below the crossover
+                       ((skewed, taus), [17 * nt]),
+                       ((xis, taus), [9 * nt, 8 * nt]),  # odd nx: the middle point is even
+                       ((even_xis, even_taus), [9 * len(even_taus)] * 2)):
+        factor_orders.clear()
+        sol = solver.solve(ex51_hp, grid)
+        assert factor_orders == want
+        assert isinstance(sol.beta, GramFactor if len(want) == 1 else solver.MirrorFactor)
+
+
+def test_folded_solve_satisfies_the_collocation_system(ex51_hp, ex52_hp):
+    # A c = m and sum B^2 = c^T A c with the unfolded A; B is the even half's
+    # Gram-Schmidt coefficients, then the odd half's, and the condition
+    # estimate the larger half's
+    sol = solver.solve(ex51_hp, mirror_grid(17, wave_operator.FOLD_MIN_N))
+    basis, bf, c = sol.basis, sol.beta, sol.psi_weights
+    a = gram_matrix(basis)
+    m = np.array([ex51_hp.M(x, t, 0.0) for x, t in basis.points])
+    assert np.max(np.abs(a @ c - m)) < 1e-8
+    sum_b2 = float(np.sum(sol.B ** 2))
+    assert abs(c @ a @ c - sum_b2) <= 1e-8 * sum_b2
+    rows = m.reshape(len(basis.taus), len(basis.xis))
+    halves = [f.solve((rows @ fold).ravel())[0] for f, fold in zip(bf.factors, bf.folds)]
+    assert np.array_equal(sol.B, np.concatenate(halves))
+    assert bf.condition_estimate == max(f.condition_estimate for f in bf.factors)
+    # the nonlinear problem at its fixed point: A c = M(p, Psi c)
+    sol = solver.solve(ex52_hp, mirror_grid(17, wave_operator.FOLD_MIN_N), outer_sweeps=40,
+                       tol=1e-12)
+    assert sol.converged and isinstance(sol.beta, solver.MirrorFactor)
+    vals = wave_operator.collocation_values(sol.basis, sol.psi_weights)
+    m = np.array([ex52_hp.M(x, t, v) for (x, t), v in zip(sol.basis.points, vals)])
+    assert np.max(np.abs(gram_matrix(sol.basis) @ sol.psi_weights - m)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("example", ["ex51", "ex52"])
+def test_folded_solve_gives_the_unfolded_answer(example, n, request, monkeypatch):
+    # the same u and du/dx to rounding; the most apart are ex51's at 32x32,
+    # by 4.3e-9 in u and 2.3e-8 in du/dx, which reaches 3.1 on these points
+    hp = request.getfixturevalue(f"{example}_hp")
+    sols = []
+    for fold_min_n in (1, 10 ** 9):  # folded, then one N x N factor
+        monkeypatch.setattr(wave_operator, "FOLD_MIN_N", fold_min_n)
+        sols.append(solver.solve(hp, generate_collocation(n, n)))
+    folded, single = sols
+    assert isinstance(folded.beta, solver.MirrorFactor) and isinstance(single.beta, GramFactor)
+    d = hp.problem.domain
+    pts = [(x, t) for x in np.linspace(d.a, d.b, 21) for t in np.linspace(0.0, d.T, 21)]
+    for name in ("u", "u_x"):
+        got, want = (np.array([getattr(sol, name)(x, t) for x, t in pts]) for sol in sols)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("k, j, failing", [(9, 0, "odd"), (5, 0, "even"), (0, 1, "even")])
+def test_a_degenerate_mirror_symmetric_grid_is_named_by_the_n_by_n_factor(ex51_hp, ex52_hp,
+                                                                          k, j, failing,
+                                                                          factor_orders):
+    # the first half to fail hands over to A's factor, which names the point,
+    # canonical and physical, as on any other grid
+    xis, taus = (list(c) for c in mirror_grid(18, wave_operator.FOLD_MIN_N))
+    if j:  # two time rows 2^-50 apart
+        taus[1] = taus[0] + 2.0 ** -50
+    elif failing == "odd":  # 1/2 -+ 2^-50, a pair whose odd combination is numerically zero
+        xis[8:10] = 0.5 - 2.0 ** -50, 0.5 + 2.0 ** -50
+    else:  # two pairs 2^-50 apart: both halves are degenerate and the even one is factored first
+        xis[4:6], xis[12:14] = (0.25, 0.25 + 2.0 ** -50), (0.75 - 2.0 ** -50, 0.75)
+    assert all(lo + hi == 1.0 for lo, hi in zip(xis, reversed(xis)))
+    n, half = 18 * len(taus), 9 * len(taus)
+    for hp in (ex51_hp, ex52_hp):
+        factor_orders.clear()
+        with pytest.raises(NotPositiveDefinite) as exc:
+            solver.solve(hp, (xis, taus))
+        assert factor_orders == ([half, half, n] if failing == "odd" else [half, n])
+        x, t = hp.problem.domain.from_canonical(xis[k], taus[j])
+        assert exc.value.index == j * len(xis) + k
+        assert f"(xi, tau) = ({xis[k]}, {taus[j]}), (x, t) = ({x}, {t})" in str(exc.value)
+
+
+def test_a_half_that_fails_leaves_the_solve_to_the_n_by_n_factor(ex52_hp, monkeypatch):
+    grid = mirror_grid(18, wave_operator.FOLD_MIN_N)
+    monkeypatch.setattr(wave_operator, "FOLD_MIN_N", 10 ** 9)
+    reference = solver.solve(ex52_hp, grid)
+    monkeypatch.undo()
+
+    def failing_halves(gram):
+        if len(gram) < len(reference.basis):
+            raise NotPositiveDefinite(len(gram) - 1)
+        return factor(gram)
+
+    monkeypatch.setattr(solver, "factor", failing_halves)
+    sol = solver.solve(ex52_hp, grid)
+    assert isinstance(sol.beta, GramFactor)
+    assert np.array_equal(sol.beta.L, reference.beta.L)
+    assert np.array_equal(sol.psi_weights, reference.psi_weights)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])

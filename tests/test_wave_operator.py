@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rkwave import wave_operator
 from rkwave.kernels import closed_form_kernel
 from rkwave.problems import builtin, homogenize
 from rkwave.solver import generate_collocation, solve
@@ -210,6 +211,44 @@ def test_gram_matrix_is_bitwise_symmetric(grid):
         basis = make_basis(n, n)
     A = gram_matrix(basis)
     assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 16, 17, 64])
+def test_space_kernel_matrices_are_mirror_symmetric_on_uniform_grids(nx):
+    # xis[k] + xis[nx-1-k] == 1 exactly and K(1 - x, 1 - y) = K(x, y), so
+    # reversing both axes changes R[p, q] by rounding only (8.3e-15 at most)
+    r = make_basis(nx, 2).kernel_matrices[0]
+    for pq in ((0, 0), (0, 2), (2, 2)):
+        assert np.max(np.abs(r[pq][::-1, ::-1] - r[pq])) <= 1e-13 * np.max(np.abs(r[pq]))
+
+
+@pytest.mark.parametrize("nx, nt", [(2, 3), (7, 3), (8, 4), (17, 5)])
+def test_mirror_halves_split_the_gram_matrix(nx, nt, monkeypatch):
+    # folding A by the halves' weights gives each half's Gram matrix, and the
+    # even and odd representers are orthogonal, to rounding; each half is
+    # assembled bitwise symmetric, as A is
+    monkeypatch.setattr(wave_operator, "FOLD_MIN_N", 1)
+    basis = make_basis(nx, nt, 0.8, 1.9)
+    halves = basis.mirror_halves
+    assert [fold.shape for fold, _ in halves] == [(nx, (nx + 1) // 2), (nx, nx // 2)]
+    a = gram_matrix(basis)
+    scale = np.max(np.abs(a))
+    folds = [np.kron(np.eye(nt), fold) for fold, _ in halves]
+    for (_, space), f in zip(halves, folds):
+        half = gram_matrix(basis, space)
+        assert np.array_equal(half, half.T)
+        assert np.max(np.abs(f.T @ a @ f - half)) <= 1e-14 * scale
+    assert np.max(np.abs(folds[0].T @ a @ folds[1])) <= 1e-14 * scale
+
+
+def test_mirror_halves_only_on_exactly_mirrored_grids_from_the_crossover_up():
+    nt = wave_operator.FOLD_MIN_N // 17 + 1
+    assert make_basis(17, nt).mirror_halves is not None
+    assert make_basis(17, (wave_operator.FOLD_MIN_N - 1) // 17).mirror_halves is None
+    xis = list(make_basis(17, 1).xis)
+    xis[-1] = np.nextafter(xis[-1], 0.0)  # one ulp off the mirror image of xis[0]
+    assert grid_basis(xis, make_basis(1, nt).taus).mirror_halves is None
+    assert make_basis(1, wave_operator.FOLD_MIN_N).mirror_halves is None  # no odd half
 
 
 def test_gram_assembly_holds_one_n_by_n_array():
