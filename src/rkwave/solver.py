@@ -23,13 +23,14 @@ edges xi = 0, 1 and tau = 0, where every representer vanishes (the paper's
 first point, the origin, only anchors v = 0).  A and Psi c come from the
 grid's 1-D kernel matrices, and ``factor`` writes L over A, so A, then L,
 is the only N x N array of a solve, in a memory mapping of its own
-(``gram_matrix``).  On a grid that ``RepresenterBasis.mirror_halves``
-folds, the Gram matrices of the two halves take A's place: a quarter of
-its factor's flops and half of its memory.
+(``gram_matrix``).  From FOLD_MIN_N points up, on a grid that
+``RepresenterBasis.mirror_halves`` folds, the Gram matrices of the two
+halves take A's place: a quarter of its factor's flops and half of its memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +40,13 @@ from . import wave_operator
 from .errors import NonFiniteValue, NotPositiveDefinite
 from .orthonormalize import GramFactor, factor
 from .wave_operator import RepresenterBasis, SeriesTable, series_table
+
+# The fewest basis functions N = nt nx that ``solve`` folds: the smallest N
+# at which the folded solve measured faster on both ex51 and ex52 (square
+# grids, 100 alternating solves, 2-core VM).  At 16x16 ex51 tied (median
+# time ratio 0.999), at 17x17 ex52 tied (0.995); at 18x18 the fold won on
+# both (0.944, 0.948), and 0.59-0.64 at 32x32.
+FOLD_MIN_N = 324
 
 
 def generate_collocation(nx: int, nt: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -141,23 +149,27 @@ class MirrorFactor:
         return np.concatenate([b for b, _ in parts]), c.ravel()
 
 
-def _mirror_factor(basis: RepresenterBasis) -> MirrorFactor | None:
-    """The factors of the halves of ``basis``, or None where it is not folded.
+def _gram_factor(hp, basis: RepresenterBasis) -> GramFactor | MirrorFactor:
+    """The factor of the collocation system on ``basis``: of its two halves, or of A.
 
-    None also where a half fails its pivot check; A is then factored as on
-    any other grid, which names a degenerate point.  In its own order the
+    A grid of at least FOLD_MIN_N points that ``basis.mirror_halves`` folds
+    factors its halves.  A half that fails its pivot check leaves the grid to
+    A's own factor, as on any other grid, whose pivot failure raises
+    NotPositiveDefinite naming its collocation point.  In its own order the
     even half meets smaller pivots than A (on ex51 from 40x40 to 54x54 its
     smallest pivot ratio is 2.5 times below A's), and on ex51 at 55x55 to
     58x58, cond(A) past 1e18, it fails where A factors.
     """
-    halves = basis.mirror_halves
-    if halves is None:
-        return None
+    halves = basis.mirror_halves if len(basis) >= FOLD_MIN_N else None
+    if halves is not None:
+        with contextlib.suppress(NotPositiveDefinite):  # a failed half leaves the grid to A
+            factors = tuple(factor(wave_operator.gram_matrix(basis, space)) for _, space in halves)
+            return MirrorFactor(factors, tuple(fold for fold, _ in halves))
     try:
-        factors = tuple(factor(wave_operator.gram_matrix(basis, space)) for _, space in halves)
-    except NotPositiveDefinite:
-        return None
-    return MirrorFactor(factors, tuple(fold for fold, _ in halves))
+        return factor(wave_operator.gram_matrix(basis))
+    except NotPositiveDefinite as exc:
+        where = _point_label(hp, *basis.points[exc.index])
+        raise NotPositiveDefinite(exc.index, f"{exc} at {where}") from None
 
 
 def solve(hp, grid, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
@@ -182,14 +194,7 @@ def solve(hp, grid, outer_sweeps: int = 5, tol: float = 1e-10) -> Solution:
     xis, taus = basis.xis, basis.taus
     if not (0.0 < xis[0] and xis[-1] < 1.0 and 0.0 < taus[0] and taus[-1] <= 1.0):
         raise ValueError(f"grid {xis} x {taus} touches a dead edge of the canonical square")
-    bf = _mirror_factor(basis)
-    if bf is None:
-        try:
-            bf = factor(wave_operator.gram_matrix(basis))
-        except NotPositiveDefinite as exc:
-            where = _point_label(hp, *basis.points[exc.index])
-            raise NotPositiveDefinite(exc.index, f"{exc} at {where}") from None
-
+    bf = _gram_factor(hp, basis)
     vals = np.zeros(len(basis))
     for sweeps_used in range(1, outer_sweeps + 1):
         b, c = bf.solve(_source_values(hp, basis.points, vals))

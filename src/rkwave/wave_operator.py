@@ -38,14 +38,6 @@ import numpy as np
 
 from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid, space_spec
 
-# The fewest basis functions N = nt nx that ``RepresenterBasis.mirror_halves``
-# folds: the smallest N at which the folded solve measured faster on both
-# ex51 and ex52 (square grids, 100 alternating solves, 2-core VM).  At 16x16
-# ex51 tied (median time ratio 0.999), at 17x17 ex52 tied (0.995); at 18x18
-# the fold won on both (0.944, 0.948), and 0.59-0.64 at 32x32.
-FOLD_MIN_N = 324
-
-
 @dataclass(frozen=True)
 class WaveOperator:
     """Coefficients of alpha d2/dt2 - gamma d2/dx2 on the canonical square."""
@@ -112,7 +104,7 @@ class RepresenterBasis:
 
     @cached_property
     def mirror_halves(self) -> tuple[tuple[np.ndarray, dict], ...] | None:
-        """(fold, space) of the even, then the odd half of the basis, or None where not folded.
+        """(fold, space) of the even, then the odd half of the basis, or None where it has none.
 
         In each time row j the half's k-th representer is
         sum_l fold[l, k] Psi_(j nx + l), and ``space`` holds fold^T R[p, q] fold,
@@ -125,10 +117,10 @@ class RepresenterBasis:
         pair by (1/2, -1/2).  Even and odd representers are orthogonal in W, so
         A splits into the halves' Gram matrices, of orders nt ceil(nx/2) and
         nt floor(nx/2), which ``gram_matrix`` assembles from their ``space``.
-        None also for nx = 1 and below FOLD_MIN_N basis functions.
+        None also for nx = 1, which has no odd half.
         """
         xis, nx = self.xis, len(self.xis)
-        if (len(self) < FOLD_MIN_N or nx < 2 or not space_spec(_SPACE_ID).mirror_symmetric
+        if (nx < 2 or not space_spec(_SPACE_ID).mirror_symmetric
                 or any(lo + hi != 1.0 for lo, hi in zip(xis, reversed(xis)))):
             return None
         r, pairs = self.kernel_matrices[0], np.arange(nx // 2)

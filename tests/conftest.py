@@ -97,3 +97,15 @@ def custom_problem():
         exact=lambda x, t: math.sin(x - t) + 0.3 * x * t,
         exact_dx=lambda x, t: math.cos(x - t) + 0.3 * t,
     )
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """``solver.solve`` folds every grid that ``mirror_halves`` splits, whatever its size."""
+    monkeypatch.setattr(solver, "FOLD_MIN_N", 0)
+
+
+@pytest.fixture
+def unfolded(monkeypatch):
+    """``solver.solve`` factors the N x N Gram matrix of every grid."""
+    monkeypatch.setattr(solver, "FOLD_MIN_N", 10 ** 9)

@@ -453,10 +453,10 @@ def test_factor_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert f"numerical failure in orthonormalize.factor: {exc}\n" in capsys.readouterr().err
 
 
-def test_gram_matrix_too_large_to_map_exits_3(tmp_path, capsys, monkeypatch):
+def test_gram_matrix_too_large_to_map_exits_3(tmp_path, capsys, monkeypatch, unfolded):
     # mmap refuses A, as it refuses the 205 GB A of a 400x400 grid on a
     # machine without that much memory; the run stops with one line naming
-    # N, not a traceback
+    # N, not a traceback.  Unfolded, the first matrix mapped is A
     def refuse(*args, **kwargs):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 

@@ -22,6 +22,14 @@ def test_generate_collocation_examples(ex51_hp):
     assert sol.basis.points == ((1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 2 / 3))
 
 
+def test_every_generated_grid_is_exactly_mirror_symmetric():
+    # xis[k] + xis[nx-1-k] == 1.0 without rounding, so mirror_halves splits
+    # every grid of generate_collocation, and solve folds it from FOLD_MIN_N up
+    for nx in range(1, 2049):
+        xis = generate_collocation(nx, 1)[0]
+        assert all(lo + hi == 1.0 for lo, hi in zip(xis, reversed(xis))), nx
+
+
 def test_generate_collocation_avoids_dead_edges():
     xis, taus = generate_collocation(7, 5)
     assert all(0.0 < xi < 1.0 for xi in xis)
@@ -124,7 +132,7 @@ def test_norm_pythagoras():
     assert hist[-1] == 5.0
 
 
-def test_picard_fixed_point(ex52_hp):
+def test_picard_fixed_point(ex52_hp, unfolded):
     # the converged sweeps satisfy the collocation equations A c = M(p, Psi c)
     sol = solver.solve(ex52_hp, generate_collocation(5, 5), outer_sweeps=40, tol=1e-12)
     assert sol.sweeps_used < 40  # converged before the cap
@@ -187,8 +195,13 @@ def test_cholesky_is_the_only_cubic_step(ex52_hp, monkeypatch):
     assert sol.sweeps_used == 5 and np.isfinite(sol.beta.condition_estimate)
 
 
-def test_solution_factor_is_read_only(ex51_sol_9):
-    assert ex51_sol_9.beta.L.flags.writeable is False
+def test_solution_factor_is_read_only(ex51_hp, monkeypatch):
+    for fold_min_n in (0, 10 ** 9):  # two halves, then one N x N factor
+        monkeypatch.setattr(solver, "FOLD_MIN_N", fold_min_n)
+        beta = solver.solve(ex51_hp, generate_collocation(9, 9)).beta
+        factors = beta.factors if isinstance(beta, solver.MirrorFactor) else (beta,)
+        assert len(factors) == (2 if fold_min_n == 0 else 1)
+        assert all(f.L.flags.writeable is False for f in factors)
 
 
 def test_solve_holds_one_n_by_n_array(ex51_hp):
@@ -303,11 +316,6 @@ def test_degenerate_points_rejected(ex51_hp, ex52_hp):
     assert exc.value.index == 1 and f"(x, t) = ({x}, {t})" in str(exc.value)
 
 
-def mirror_grid(nx: int, min_n: int):
-    """generate_collocation's nx xis, exactly mirror-symmetric, and the fewest taus for N >= min_n."""
-    return generate_collocation(nx, -(-min_n // nx))
-
-
 @pytest.fixture
 def factor_orders(monkeypatch):
     """The orders of the matrices that solver.solve factors, in call order."""
@@ -322,28 +330,26 @@ def factor_orders(monkeypatch):
 
 
 def test_only_a_mirror_symmetric_grid_from_the_crossover_up_factors_two_halves(ex51_hp,
-                                                                              factor_orders):
-    fold_min_n = wave_operator.FOLD_MIN_N
-    xis, taus = mirror_grid(17, fold_min_n)
-    nt = len(taus)
-    assert 17 * (nt - 1) < fold_min_n <= 17 * nt
+                                                                              factor_orders,
+                                                                              monkeypatch):
+    monkeypatch.setattr(solver, "FOLD_MIN_N", 17 * 4)
+    xis, taus = generate_collocation(17, 4)
     skewed = xis[:-1] + (np.nextafter(xis[-1], 0.0),)  # one ulp off the mirror image of xis[0]
-    even_xis, even_taus = mirror_grid(18, fold_min_n)
-    for grid, want in (((xis, taus[:-1]), [17 * (nt - 1)]),  # below the crossover
-                       ((skewed, taus), [17 * nt]),
-                       ((xis, taus), [9 * nt, 8 * nt]),  # odd nx: the middle point is even
-                       ((even_xis, even_taus), [9 * len(even_taus)] * 2)):
+    for grid, want in (((xis, taus[:-1]), [17 * 3]),  # below the crossover
+                       ((skewed, taus), [17 * 4]),
+                       ((xis, taus), [9 * 4, 8 * 4]),  # odd nx: the middle point is even
+                       (generate_collocation(18, 4), [9 * 4] * 2)):
         factor_orders.clear()
         sol = solver.solve(ex51_hp, grid)
         assert factor_orders == want
         assert isinstance(sol.beta, GramFactor if len(want) == 1 else solver.MirrorFactor)
 
 
-def test_folded_solve_satisfies_the_collocation_system(ex51_hp, ex52_hp):
+def test_folded_solve_satisfies_the_collocation_system(ex51_hp, ex52_hp, folded):
     # A c = m and sum B^2 = c^T A c with the unfolded A; B is the even half's
     # Gram-Schmidt coefficients, then the odd half's, and the condition
     # estimate the larger half's
-    sol = solver.solve(ex51_hp, mirror_grid(17, wave_operator.FOLD_MIN_N))
+    sol = solver.solve(ex51_hp, generate_collocation(17, 4))
     basis, bf, c = sol.basis, sol.beta, sol.psi_weights
     a = gram_matrix(basis)
     m = np.array([ex51_hp.M(x, t, 0.0) for x, t in basis.points])
@@ -355,23 +361,22 @@ def test_folded_solve_satisfies_the_collocation_system(ex51_hp, ex52_hp):
     assert np.array_equal(sol.B, np.concatenate(halves))
     assert bf.condition_estimate == max(f.condition_estimate for f in bf.factors)
     # the nonlinear problem at its fixed point: A c = M(p, Psi c)
-    sol = solver.solve(ex52_hp, mirror_grid(17, wave_operator.FOLD_MIN_N), outer_sweeps=40,
-                       tol=1e-12)
+    sol = solver.solve(ex52_hp, generate_collocation(17, 4), outer_sweeps=40, tol=1e-12)
     assert sol.converged and isinstance(sol.beta, solver.MirrorFactor)
     vals = wave_operator.collocation_values(sol.basis, sol.psi_weights)
     m = np.array([ex52_hp.M(x, t, v) for (x, t), v in zip(sol.basis.points, vals)])
     assert np.max(np.abs(gram_matrix(sol.basis) @ sol.psi_weights - m)) < 1e-8
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [8, 9, 16, 32])
 @pytest.mark.parametrize("example", ["ex51", "ex52"])
 def test_folded_solve_gives_the_unfolded_answer(example, n, request, monkeypatch):
     # the same u and du/dx to rounding; the most apart are ex51's at 32x32,
     # by 4.3e-9 in u and 2.3e-8 in du/dx, which reaches 3.1 on these points
     hp = request.getfixturevalue(f"{example}_hp")
     sols = []
-    for fold_min_n in (1, 10 ** 9):  # folded, then one N x N factor
-        monkeypatch.setattr(wave_operator, "FOLD_MIN_N", fold_min_n)
+    for fold_min_n in (0, 10 ** 9):  # folded, then one N x N factor
+        monkeypatch.setattr(solver, "FOLD_MIN_N", fold_min_n)
         sols.append(solver.solve(hp, generate_collocation(n, n)))
     folded, single = sols
     assert isinstance(folded.beta, solver.MirrorFactor) and isinstance(single.beta, GramFactor)
@@ -385,10 +390,10 @@ def test_folded_solve_gives_the_unfolded_answer(example, n, request, monkeypatch
 @pytest.mark.parametrize("k, j, failing", [(9, 0, "odd"), (5, 0, "even"), (0, 1, "even")])
 def test_a_degenerate_mirror_symmetric_grid_is_named_by_the_n_by_n_factor(ex51_hp, ex52_hp,
                                                                           k, j, failing,
-                                                                          factor_orders):
+                                                                          factor_orders, folded):
     # the first half to fail hands over to A's factor, which names the point,
     # canonical and physical, as on any other grid
-    xis, taus = (list(c) for c in mirror_grid(18, wave_operator.FOLD_MIN_N))
+    xis, taus = (list(c) for c in generate_collocation(18, 4))
     if j:  # two time rows 2^-50 apart
         taus[1] = taus[0] + 2.0 ** -50
     elif failing == "odd":  # 1/2 -+ 2^-50, a pair whose odd combination is numerically zero
@@ -408,18 +413,21 @@ def test_a_degenerate_mirror_symmetric_grid_is_named_by_the_n_by_n_factor(ex51_h
 
 
 def test_a_half_that_fails_leaves_the_solve_to_the_n_by_n_factor(ex52_hp, monkeypatch):
-    grid = mirror_grid(18, wave_operator.FOLD_MIN_N)
-    monkeypatch.setattr(wave_operator, "FOLD_MIN_N", 10 ** 9)
+    grid = generate_collocation(18, 4)
+    monkeypatch.setattr(solver, "FOLD_MIN_N", 10 ** 9)
     reference = solver.solve(ex52_hp, grid)
-    monkeypatch.undo()
+    orders = []
 
     def failing_halves(gram):
+        orders.append(len(gram))
         if len(gram) < len(reference.basis):
             raise NotPositiveDefinite(len(gram) - 1)
         return factor(gram)
 
+    monkeypatch.setattr(solver, "FOLD_MIN_N", 0)
     monkeypatch.setattr(solver, "factor", failing_halves)
     sol = solver.solve(ex52_hp, grid)
+    assert orders == [36, 72]  # the even half fails, then A factors
     assert isinstance(sol.beta, GramFactor)
     assert np.array_equal(sol.beta.L, reference.beta.L)
     assert np.array_equal(sol.psi_weights, reference.psi_weights)
@@ -532,7 +540,7 @@ def test_evaluate_gives_the_bits_of_the_series_loop_plus_lifting(case, ex51_hp, 
             assert str(got.value) == str(want.value)
 
 
-def test_solutions_factors_and_tables_compare_and_hash_by_identity(ex51_hp):
+def test_solutions_factors_and_tables_compare_and_hash_by_identity(ex51_hp, unfolded):
     # two solves of one grid hold equal arrays in distinct objects
     first, second = (solver.solve(ex51_hp, generate_collocation(4, 4)) for _ in range(2))
     assert np.array_equal(first.beta.L, second.beta.L)

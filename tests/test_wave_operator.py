@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkwave import wave_operator
 from rkwave.kernels import closed_form_kernel
 from rkwave.problems import builtin, homogenize
 from rkwave.solver import generate_collocation, solve
@@ -223,11 +222,10 @@ def test_space_kernel_matrices_are_mirror_symmetric_on_uniform_grids(nx):
 
 
 @pytest.mark.parametrize("nx, nt", [(2, 3), (7, 3), (8, 4), (17, 5)])
-def test_mirror_halves_split_the_gram_matrix(nx, nt, monkeypatch):
+def test_mirror_halves_split_the_gram_matrix(nx, nt):
     # folding A by the halves' weights gives each half's Gram matrix, and the
     # even and odd representers are orthogonal, to rounding; each half is
     # assembled bitwise symmetric, as A is
-    monkeypatch.setattr(wave_operator, "FOLD_MIN_N", 1)
     basis = make_basis(nx, nt, 0.8, 1.9)
     halves = basis.mirror_halves
     assert [fold.shape for fold, _ in halves] == [(nx, (nx + 1) // 2), (nx, nx // 2)]
@@ -241,14 +239,14 @@ def test_mirror_halves_split_the_gram_matrix(nx, nt, monkeypatch):
     assert np.max(np.abs(folds[0].T @ a @ folds[1])) <= 1e-14 * scale
 
 
-def test_mirror_halves_only_on_exactly_mirrored_grids_from_the_crossover_up():
-    nt = wave_operator.FOLD_MIN_N // 17 + 1
-    assert make_basis(17, nt).mirror_halves is not None
-    assert make_basis(17, (wave_operator.FOLD_MIN_N - 1) // 17).mirror_halves is None
+def test_mirror_halves_only_on_exactly_mirrored_grids():
+    # whatever N: the smallest grids split too
+    assert [len(fold.T) for fold, _ in make_basis(2, 1).mirror_halves] == [1, 1]
+    assert [len(fold.T) for fold, _ in make_basis(3, 3).mirror_halves] == [2, 1]
     xis = list(make_basis(17, 1).xis)
     xis[-1] = np.nextafter(xis[-1], 0.0)  # one ulp off the mirror image of xis[0]
-    assert grid_basis(xis, make_basis(1, nt).taus).mirror_halves is None
-    assert make_basis(1, wave_operator.FOLD_MIN_N).mirror_halves is None  # no odd half
+    assert grid_basis(xis, make_basis(1, 3).taus).mirror_halves is None
+    assert make_basis(1, 3).mirror_halves is None  # no odd half
 
 
 def test_gram_assembly_holds_one_n_by_n_array():
