@@ -61,7 +61,7 @@ class GramFactor:
     stand in for those blocks in ``solve``, one product each.
     ``condition_estimate`` is ||A||_1 times an estimate of ||A^{-1}||_1: a
     lower bound on cond_1(A) up to rounding, usually exact (rounding in the
-    solves can push it past cond_1 by a few 1e-8 relative).
+    solves can push it past cond_1 by a relative amount of order eps cond_1).
     """
 
     L: np.ndarray

@@ -157,7 +157,7 @@ def _gram_factor(hp, basis: RepresenterBasis) -> GramFactor | MirrorFactor:
     A's own factor, as on any other grid, whose pivot failure raises
     NotPositiveDefinite naming its collocation point.  In its own order the
     even half meets smaller pivots than A (on ex51 from 40x40 to 54x54 its
-    smallest pivot ratio is 2.5 times below A's), and on ex51 at 55x55 to
+    smallest pivot ratio is 2.5 times below A's), and on ex51 at 56x56 and
     58x58, cond(A) past 1e18, it fails where A factors.
     """
     halves = basis.mirror_halves if len(basis) >= FOLD_MIN_N else None

@@ -96,8 +96,8 @@ class RepresenterBasis:
     def kernel_matrices(self) -> tuple[dict, dict]:
         """(R, T): R[p, q][k, l] = d^p_x d^q_y R(xis[k], xis[l]), p, q in {0, 2}; T on taus.
 
-        The kernels are symmetric: [0, 0] and [2, 2] are mirrored from their lower
-        triangle and [2, 0] is [0, 2] transposed, so ``gram_matrix`` is bitwise symmetric.
+        [0, 0] and [2, 2] are mirrored from their lower triangle and [2, 0] is [0, 2]
+        transposed, so the symmetric and skew parts that ``gram_matrix`` forms are exactly so.
         """
         return tuple(_kernel_set(*(eval_kernel_grid(k, c, c, p, q) for p, q in _PQ))
                      for k, c in ((self.space_kernel, self.xis), (self.time_kernel, self.taus)))
@@ -285,28 +285,27 @@ def gram_matrix(basis: RepresenterBasis, space: dict | None = None) -> np.ndarra
 
         A = a^2 T22 (x) R00 - a g (T02 (x) R20 + T20 (x) R02) + g^2 T00 (x) R22.
 
-    A is written one time row j at a time, each (nx, nt, nx) slab through one
-    slab of scratch by the elementwise operations of the four np.kron products
-    in that order, so assembly holds one N x N array and rounds as the formula does.
-    A has a memory mapping of its own (``_mapped_empty``), unmapped when A is freed.
-    With the ``space`` of one of ``basis.mirror_halves`` in place of R, the
-    result is the Gram matrix of that half's representers.
+    A is one batched matrix product, A[j, i, l, k] = sum_s C_s[j, l] Q_s[i, k],
+    written straight into a memory mapping of its own (``_mapped_empty``,
+    unmapped when A is freed), so assembly holds one N x N array.  The cross pair
+    is taken as T02 (x) R20 + T20 (x) R02 = 2 (S (x) P + K (x) Q), with S, P the
+    symmetric and K, Q the skew halves of T02 and R20.  As [2, 0] is [0, 2]^T
+    exactly, every entry and its mirror sum the same four products in the same
+    order, up to the exact signs of K and Q, so A is bitwise symmetric; it
+    rounds within a few eps max|A| of the formula.  With the ``space`` of one of
+    ``basis.mirror_halves`` in place of R, the result is the Gram matrix of that
+    half's representers.
     """
     r, t = basis.kernel_matrices
     if space is not None:
         r = space
     a, g = basis.operator.alpha, basis.operator.gamma
     nt, nx = len(basis.taus), len(r[0, 0])
-    out, term = _mapped_empty(nt * nx).reshape(nt, nx, nt, nx), np.empty((nx, nt, nx))
-    t02, t20, t22, t00 = (m[:, None, :, None] for m in (t[0, 2], t[2, 0], t[2, 2], t[0, 0]))
-    r20, r02, r00, r22 = (m[:, None, :] for m in (r[2, 0], r[0, 2], a * a * r[0, 0],
-                                                  g * g * r[2, 2]))
-    for j, row in enumerate(out):  # row[i, l, k] = t..[j, l] r..[i, k], as np.kron
-        np.multiply(t02[j], r20, out=row)
-        row += np.multiply(t20[j], r02, out=term)
-        row *= a * g
-        np.subtract(np.multiply(t22[j], r00, out=term), row, out=row)
-        row += np.multiply(t00[j], r22, out=term)
+    s, k = (t[0, 2] + t[2, 0]) * 0.5, (t[0, 2] - t[2, 0]) * 0.5
+    p, q = (r[2, 0] + r[0, 2]) * 0.5, (r[2, 0] - r[0, 2]) * 0.5
+    coef = np.stack([a * a * t[2, 2], -2 * a * g * s, -2 * a * g * k, g * g * t[0, 0]], axis=-1)
+    out = _mapped_empty(nt * nx).reshape(nt, nx, nt, nx)
+    np.matmul(coef[:, None], np.stack([r[0, 0], p, q, r[2, 2]], axis=1)[None], out=out)
     return out.reshape(nt * nx, nt * nx)
 
 
