@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -267,7 +266,6 @@ class ErrorRow(NamedTuple):
     approx: float
     abs_err: float
     rel_err: float
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -285,19 +283,18 @@ def error_table(sol: solver.Solution, eval_points) -> ErrorReport:
 
     Relative error is 0 when the point is exact and infinity when the exact
     value is zero but the approximation is not (matching the usual
-    convention of printed error tables); those rows are excluded from any
-    aggregate norms.  Without an exact solution the exact, abs_err and
-    rel_err columns are NaN.
+    convention of printed error tables).  Without an exact solution the
+    exact, abs_err and rel_err columns are NaN.  The report's one aggregate,
+    ``max_abs_error``, reads abs_err alone: it is NaN as soon as one row's
+    abs_err is NaN and 0.0 without rows; no aggregate reads rel_err.
     """
     # bound once per call; solver.evaluate is read here, not at import, so a
     # wrapper installed on the module is what runs
-    evaluate, clock, exact = solver.evaluate, time.perf_counter, sol.hp.problem.exact
+    evaluate, exact = solver.evaluate, sol.hp.problem.exact
     new_row = tuple.__new__  # an ErrorRow from its fields, without NamedTuple's __new__
     rows = []
     for x, t in eval_points:
-        start = clock()
         approx = evaluate(sol, x, t)
-        seconds = clock() - start
         ex = float(exact(x, t)) if exact is not None else math.nan
         abs_err = abs(ex - approx)
         if abs_err == 0.0:
@@ -306,6 +303,5 @@ def error_table(sol: solver.Solution, eval_points) -> ErrorReport:
             rel = math.inf
         else:
             rel = abs_err / abs(ex)
-        rows.append(new_row(ErrorRow, (float(x), float(t), ex, float(approx), abs_err, rel,
-                                       seconds)))
+        rows.append(new_row(ErrorRow, (float(x), float(t), ex, float(approx), abs_err, rel)))
     return ErrorReport(tuple(rows))

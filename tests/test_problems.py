@@ -256,7 +256,6 @@ def test_error_table(ex51, ex51_sol_9):
     assert r.abs_err == abs(r.exact - r.approx)
     assert r.rel_err == r.abs_err / abs(r.exact)
     assert report.max_abs_error == max(row.abs_err for row in report.rows)
-    assert all(row.seconds >= 0.0 for row in report.rows)
 
 
 def test_error_table_calls_evaluate_once_per_point(ex51_sol_9, monkeypatch):
@@ -300,14 +299,14 @@ def test_error_table_without_exact_has_nan_rows():
     report = error_table(sol, [(0.5, 0.5), (0.25, 1.0)])
     for row, (x, t) in zip(report.rows, [(0.5, 0.5), (0.25, 1.0)]):
         assert (row.x, row.t, row.approx) == (x, t, solver.evaluate(sol, x, t))
-        assert row.approx != 0.0 and row.seconds >= 0.0
+        assert row.approx != 0.0
         assert math.isnan(row.exact) and math.isnan(row.abs_err) and math.isnan(row.rel_err)
     assert math.isnan(report.max_abs_error)
 
 
 def test_max_abs_error_is_nan_if_any_row_is():
     def row(err):
-        return ErrorRow(0.5, 0.5, 1.0, 1.0 + err, err, err, 0.0)
+        return ErrorRow(0.5, 0.5, 1.0, 1.0 + err, err, err)
 
     for errs in ((1.0, math.nan), (math.nan, 1.0), (0.5, math.nan, 2.0)):
         assert math.isnan(ErrorReport(tuple(row(e) for e in errs)).max_abs_error)

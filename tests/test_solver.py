@@ -368,6 +368,17 @@ def test_folded_solve_satisfies_the_collocation_system(ex51_hp, ex52_hp, folded)
     assert np.max(np.abs(gram_matrix(sol.basis) @ sol.psi_weights - m)) < 1e-8
 
 
+@pytest.mark.parametrize("example", ["ex51", "ex52"])
+def test_the_default_solve_folds_32x32_and_factors_16x16_whole(example, request):
+    # no fixture sets FOLD_MIN_N here: these are the paths a CLI run takes
+    hp = request.getfixturevalue(f"{example}_hp")
+    big = solver.solve(hp, generate_collocation(32, 32)).beta
+    assert isinstance(big, solver.MirrorFactor)
+    assert [len(f.L) for f in big.factors] == [512, 512]
+    small = solver.solve(hp, generate_collocation(16, 16)).beta
+    assert isinstance(small, GramFactor) and len(small.L) == 256
+
+
 @pytest.mark.parametrize("n", [8, 9, 16, 32])
 @pytest.mark.parametrize("example", ["ex51", "ex52"])
 def test_folded_solve_gives_the_unfolded_answer(example, n, request, monkeypatch):
