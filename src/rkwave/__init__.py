@@ -15,7 +15,6 @@ from .kernels import (
     closed_form_kernel,
     derive_kernel_oracle,
     eval_kernel_grid,
-    space_spec,
 )
 from .orthonormalize import GramFactor, factor
 from .problems import (

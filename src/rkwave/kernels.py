@@ -15,7 +15,9 @@ order m.  Its reproducing kernel K(x, y) is a piecewise bivariate polynomial
 of degree 2m-1 in each variable, with distinct branches on x <= y and x > y.
 Branches are stored as dense (2m)x(2m) monomial coefficient matrices (entry
 [i, j] multiplies x^i y^j; 6x6 at order 3), which makes differentiation in
-either slot exact.
+either slot exact.  A kernel (``PiecewiseKernel``) knows the space it
+reproduces, so its holder asks ``k.spec`` for the space's order and
+symmetry.
 ``eval_kernel_grid`` evaluates a kernel on a grid of coordinates.
 
 Every kernel is derived, not tabulated: ``_exact_coefficients`` solves its
@@ -76,19 +78,19 @@ class SpaceSpec:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseKernel:
-    """Bivariate piecewise-polynomial kernel K(x, y).
+    """Bivariate piecewise-polynomial kernel K(x, y) of the space ``spec``.
 
     ``lower`` holds the branch for x <= y, ``upper`` for x > y, both as
-    (2m)x(2m) monomial coefficient matrices.  ``order`` is the Sobolev
-    order m; the kernel is C^(2m-2) across the diagonal.
+    (2m)x(2m) monomial coefficient matrices, m = ``spec.order``; the kernel
+    is C^(2m-2) across the diagonal.  ``spec`` is the space it reproduces.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    order: int
+    spec: SpaceSpec
 
     def __post_init__(self):
-        n = 2 * self.order
+        n = 2 * self.spec.order
         for name in ("lower", "upper"):
             mat = np.array(getattr(self, name), dtype=float)
             if mat.shape != (n, n):
@@ -101,15 +103,6 @@ _SPECS = {
     "R_spatial": SpaceSpec(3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))),
     "r_temporal": SpaceSpec(3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0))),
 }
-SPACE_IDS = tuple(_SPECS)
-
-
-def space_spec(space_id: str) -> SpaceSpec:
-    """Return the SpaceSpec for one of the two supported space ids."""
-    try:
-        return _SPECS[space_id]
-    except KeyError:
-        raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}") from None
 
 
 # --------------------------------------------------------------------------
@@ -237,10 +230,12 @@ def derive_kernel_oracle(spec: SpaceSpec) -> PiecewiseKernel:
     upper = np.array(_exact_coefficients(spec), dtype=float).T.copy()
     if (0, 1) in spec.essential_constraints:
         _polish_columns_at_one(upper)
-    return PiecewiseKernel(upper.T.copy(), upper, spec.order)
+    return PiecewiseKernel(upper.T.copy(), upper, spec)
 
 
 @lru_cache(maxsize=None)
 def closed_form_kernel(space_id: str) -> PiecewiseKernel:
     """The kernel of ``space_id``, derived once per process."""
-    return derive_kernel_oracle(space_spec(space_id))
+    if space_id not in _SPECS:
+        raise ValueError(f"unknown space id {space_id!r}; expected one of {tuple(_SPECS)}")
+    return derive_kernel_oracle(_SPECS[space_id])

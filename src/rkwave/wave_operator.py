@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid, space_spec
+from .kernels import PiecewiseKernel, closed_form_kernel, eval_kernel_grid
 
 @dataclass(frozen=True)
 class WaveOperator:
@@ -51,7 +51,6 @@ class WaveOperator:
             raise ValueError(f"coefficients {a}, {g} and products must be positive and finite")
 
 
-_SPACE_ID = "R_spatial"
 _PQ = ((0, 0), (0, 2), (2, 2))  # the derivative orders of the kernel matrices formed
 
 
@@ -86,7 +85,7 @@ class RepresenterBasis:
                 raise ValueError(f"{name} must be nonempty and strictly increasing, got {coords}")
             object.__setattr__(self, name, coords)
         object.__setattr__(self, "points", tuple((x, t) for t in self.taus for x in self.xis))
-        object.__setattr__(self, "space_kernel", closed_form_kernel(_SPACE_ID))
+        object.__setattr__(self, "space_kernel", closed_form_kernel("R_spatial"))
         object.__setattr__(self, "time_kernel", closed_form_kernel("r_temporal"))
 
     def __len__(self) -> int:
@@ -111,7 +110,8 @@ class RepresenterBasis:
         bitwise symmetric as R is.
 
         A fold needs xis[k] + xis[k'] == 1.0 exactly, k' = nx-1-k, and a
-        mirror-symmetric space (``SpaceSpec.mirror_symmetric``), so that
+        space kernel whose space is mirror-symmetric
+        (``space_kernel.spec.mirror_symmetric``), so that
         R[p, q][k', l'] = R[p, q][k, l].  The even half weighs each pair k < k'
         by (1/2, 1/2) and the middle point of an odd nx by 1, the odd half each
         pair by (1/2, -1/2).  Even and odd representers are orthogonal in W, so
@@ -120,7 +120,7 @@ class RepresenterBasis:
         None also for nx = 1, which has no odd half.
         """
         xis, nx = self.xis, len(self.xis)
-        if (nx < 2 or not space_spec(_SPACE_ID).mirror_symmetric
+        if (nx < 2 or not self.space_kernel.spec.mirror_symmetric
                 or any(lo + hi != 1.0 for lo, hi in zip(xis, reversed(xis)))):
             return None
         r, pairs = self.kernel_matrices[0], np.arange(nx // 2)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
 
-from rkwave.kernels import SpaceSpec, closed_form_kernel, derive_kernel_oracle, space_spec
+from rkwave.kernels import SpaceSpec, closed_form_kernel, derive_kernel_oracle
 
 # the unconstrained order-1 factors of W_hat; both have the kernel 1 + min(x, y)
 ORDER1_SPECS = {
@@ -43,7 +43,7 @@ SPACE_IDS = ("R_spatial", "r_temporal", "Q_spatial", "q_temporal")
 
 
 def spec_of(space_id: str) -> SpaceSpec:
-    return ORDER1_SPECS.get(space_id) or space_spec(space_id)
+    return ORDER1_SPECS.get(space_id) or closed_form_kernel(space_id).spec
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +81,7 @@ def kernel(k, x, y, dx: int = 0, dy: int = 0):
     if dx < 0 or dy < 0:
         raise ValueError("derivative orders must be nonnegative")
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if dx + dy > 2 * k.order - 2 and np.any(x == y):
+    if dx + dy > 2 * k.spec.order - 2 and np.any(x == y):
         raise DiagonalDerivativeUndefined(
             f"order ({dx},{dy}) kernel derivative is discontinuous on x = y")
     out = np.where(x <= y, branch(k, "lower", x, y, dx, dy), branch(k, "upper", x, y, dx, dy))

@@ -81,10 +81,10 @@ def table_kernel(space_id: str) -> PiecewiseKernel:
     kernel's branches; ``printed_vs_exact`` checks that the rest is zero.
     """
     branches = corrected_tables(space_id)
-    order = spec_of(space_id).order
-    n = 2 * order
+    spec = spec_of(space_id)
+    n = 2 * spec.order
     return PiecewiseKernel(np.array(branches["lower"], dtype=float)[:n, :n],
-                           np.array(branches["upper"], dtype=float)[:n, :n], order)
+                           np.array(branches["upper"], dtype=float)[:n, :n], spec)
 
 
 def printed_vs_exact(space_id: str) -> list:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ PUBLIC_API = [
     "SingularSystem", "Solution", "SpaceSpec", "WaveOperator", "builtin", "closed_form_kernel",
     "derive_kernel_oracle", "error_table", "errors", "eval_kernel_grid", "evaluate",
     "evaluate_dx", "factor", "generate_collocation", "gram_matrix", "homogenize", "kernels",
-    "orthonormalize", "problems", "solution_norm", "solve", "solver", "space_spec",
+    "orthonormalize", "problems", "solution_norm", "solve", "solver",
     "wave_operator",
 ]
 
@@ -49,3 +50,13 @@ def test_benchmark_trace_points_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in tracing.TRACE_POINTS
                if not hasattr(modules[mod], attr)]
     assert missing == ["solver.psi_values"]
+
+
+def test_benchmark_setup_probe_runs():
+    # the probe builds both kernels by id in a fresh interpreter; if it broke,
+    # every setup_s reading of the benchmark would fail
+    out = subprocess.run([sys.executable, "perfbench/setup_probe.py", "src"], cwd=SRC.parent,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    (line,) = out.stdout.split()
+    assert 0.0 < float(line) < math.inf

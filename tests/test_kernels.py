@@ -14,7 +14,6 @@ from rkwave.kernels import (
     closed_form_kernel,
     derive_kernel_oracle,
     eval_kernel_grid,
-    space_spec,
 )
 
 from conftest import poly, sinusoid
@@ -43,15 +42,17 @@ MEMBERS = {
 
 
 def test_space_specs():
-    assert kernels.SPACE_IDS == ORDER3_IDS
-    for sid in kernels.SPACE_IDS:
-        assert space_spec(sid).order == 3
-    assert space_spec("R_spatial").essential_constraints == ((0, 0), (0, 1))
-    assert space_spec("r_temporal").essential_constraints == ((0, 0), (1, 0))
+    # each kernel carries the space it reproduces
+    assert closed_form_kernel("R_spatial").spec == SpaceSpec(
+        3, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1)))
+    assert closed_form_kernel("r_temporal").spec == SpaceSpec(
+        3, ((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0)))
     assert spec_of("Q_spatial").essential_constraints == ()
+    for spec in map(spec_of, SPACE_IDS):
+        assert derive_kernel_oracle(spec).spec is spec
     for bad in ("bogus", "Q_spatial"):  # the order-1 specs are test oracles only
-        with pytest.raises(ValueError):
-            space_spec(bad)
+        with pytest.raises(ValueError, match="'R_spatial', 'r_temporal'"):
+            closed_form_kernel(bad)
 
 
 def test_w21_kernel_is_one_plus_min():
@@ -89,11 +90,11 @@ def test_kernel_coefficients_exactly_symmetric(sid):
     k = kernel_of(sid)
     assert np.array_equal(k.upper, k.lower.T)
     # branches come at their natural size, 2m x 2m; zero padding is rejected
-    n = 2 * k.order
+    n = 2 * k.spec.order
     assert k.lower.shape == (n, n)
     padded = np.pad(k.lower, (0, 2))
     with pytest.raises(ValueError, match="2m x 2m"):
-        PiecewiseKernel(padded, padded.T, k.order)
+        PiecewiseKernel(padded, padded.T, k.spec)
 
 
 def test_misprinted_entry_holds_exact_value():
@@ -153,7 +154,7 @@ def test_symmetry(sid):
 @pytest.mark.parametrize("sid", SPACE_IDS)
 def test_diagonal_continuity(sid):
     k = kernel_of(sid)
-    m = k.order
+    m = k.spec.order
     ys = np.linspace(0.05, 0.95, 20)
     for total in range(2 * m - 1):
         for dx in range(total + 1):
@@ -168,7 +169,7 @@ def test_unit_jump_in_top_derivative(sid):
     # the (2m-1)-th x-derivative jumps by exactly 1 (lower minus upper),
     # which is what turns the integral term into point evaluation
     k = kernel_of(sid)
-    m = k.order
+    m = k.spec.order
     ys = np.linspace(0.1, 0.9, 15)
     lo = branch(k, "lower", ys, ys, 2 * m - 1, 0)
     up = branch(k, "upper", ys, ys, 2 * m - 1, 0)
@@ -204,13 +205,13 @@ def test_reproducing_property(sid):
 
 
 def test_inner_product_examples():
-    spec = space_spec("R_spatial")
+    spec = spec_of("R_spatial")
     R = closed_form_kernel("R_spatial")
     u = poly(0, 1, -1)  # x(1-x)
     got = inner_product(spec, u, section(R, 0.3), split_at=(0.3,))
     assert got == pytest.approx(0.21, abs=1e-10)
 
-    spec_t = space_spec("r_temporal")
+    spec_t = spec_of("r_temporal")
     r = closed_form_kernel("r_temporal")
     got = inner_product(spec_t, poly(0, 0, 1), section(r, 0.7), split_at=(0.7,))
     assert got == pytest.approx(0.49, abs=1e-10)
@@ -318,8 +319,8 @@ def test_grid_evaluates_an_order4_kernel(dx, dy):
 
 
 @pytest.mark.parametrize("spec, mirrored", [
-    (space_spec("R_spatial"), True),
-    (space_spec("r_temporal"), False),
+    (spec_of("R_spatial"), True),
+    (spec_of("r_temporal"), False),
     # the order-4 space of the accuracy study: u''(0) is a discrete term, u''(1) is not
     (SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0))), False),
     (SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))), True),
@@ -387,8 +388,8 @@ def _pint(p, a, b):
 
 
 @pytest.mark.parametrize("spec", [
-    space_spec("R_spatial"),
-    space_spec("r_temporal"),
+    spec_of("R_spatial"),
+    spec_of("r_temporal"),
     spec_of("Q_spatial"),
     SpaceSpec(2, ((0, 0),), ((0, 0), (1, 0))),
     SpaceSpec(4, ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1), (2, 0))),
@@ -428,7 +429,7 @@ def test_polish_gives_the_bits_of_the_per_entry_loop():
                     s += mat[i, j]
                 mat[-1, j] -= s
 
-    rounded = np.array(kernels._exact_coefficients(space_spec("R_spatial")), dtype=float).T
+    rounded = np.array(kernels._exact_coefficients(spec_of("R_spatial")), dtype=float).T
     noisy = np.random.default_rng(1).standard_normal((6, 6)) * 10.0 ** np.arange(-3, 3)
     for mat in (rounded, noisy):
         want, got = mat.copy(), mat.copy()
@@ -437,11 +438,11 @@ def test_polish_gives_the_bits_of_the_per_entry_loop():
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("sid", kernels.SPACE_IDS)
+@pytest.mark.parametrize("sid", ORDER3_IDS)
 def test_kernels_compare_and_hash_by_identity(sid):
     # two kernels with equal branches compare as objects, without asking an
     # array for its truth value
-    cached, derived = closed_form_kernel(sid), derive_kernel_oracle(space_spec(sid))
+    cached, derived = closed_form_kernel(sid), derive_kernel_oracle(spec_of(sid))
     assert np.array_equal(cached.lower, derived.lower)
     assert cached != derived and not cached == derived
     assert cached == cached and derived == derived

@@ -80,7 +80,7 @@ def test_basis_takes_the_order3_closed_form_kernels():
     basis = grid_basis((0.5,), (0.5,))
     assert basis.space_kernel is closed_form_kernel("R_spatial")
     assert basis.time_kernel is closed_form_kernel("r_temporal")
-    assert basis.space_kernel.order == basis.time_kernel.order == 3
+    assert basis.space_kernel.spec.order == basis.time_kernel.spec.order == 3
 
 
 def test_psi_vanishes_on_dead_edges():
@@ -270,6 +270,10 @@ def test_mirror_halves_only_on_exactly_mirrored_grids():
     xis[-1] = np.nextafter(xis[-1], 0.0)  # one ulp off the mirror image of xis[0]
     assert grid_basis(xis, make_basis(1, 3).taus).mirror_halves is None
     assert make_basis(1, 3).mirror_halves is None  # no odd half
+    # the fold asks the basis's own space kernel; r's space is not mirror-symmetric
+    basis = make_basis(3, 3)
+    object.__setattr__(basis, "space_kernel", closed_form_kernel("r_temporal"))
+    assert basis.mirror_halves is None
 
 
 def test_gram_assembly_holds_one_n_by_n_array():
